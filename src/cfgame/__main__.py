@@ -1,0 +1,8 @@
+"""python -m cfgame: the cfgame command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

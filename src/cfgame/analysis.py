@@ -47,72 +47,51 @@ def _key_of(node):
 
 
 class _KeyIndex:
-    """Subexpression keys of all replacement rules plus the plain symbols.
+    """Subexpression keys of all replacement rules.
 
-    parents maps a key to the (parent, role) edges it occurs under, with
-    role one of "left", "right" (concatenation), "alt", "body" (star).
-    call_groups maps the key of a rule to the symbols having that rule.
+    parts maps a concatenation or alternative key to the keys of its two
+    parts and a star key to the key of its body; rule_key maps a function
+    symbol to the key of its rule.
     """
 
     def __init__(self, game):
-        self.parents = {}
-        self.cat_parts = {}
-        self.star_body = {}
-        self.keys = set(game.alphabet)
-        self.rule_key = {}
-        self.call_groups = {}
-        for sym in game.function_symbols:
-            k = self._walk(game.rules[sym])
-            self.rule_key[sym] = k
-            self.call_groups.setdefault(k, []).append(sym)
-        self.star_keys = [
-            k for k in self.keys if isinstance(k, tuple) and k[0] == "star"
-        ]
-        self.has_eps = ("eps",) in self.keys
+        self.parts = {}
+        self.rule_key = {
+            sym: self._walk(game.rules[sym]) for sym in game.function_symbols
+        }
 
     def _walk(self, node):
         k = _key_of(node)
-        self.keys.add(k)
-        tag = node[0]
-        if tag in ("cat", "alt"):
-            lk = self._walk(node[1])
-            rk = self._walk(node[2])
-            if tag == "cat":
-                self.parents.setdefault(lk, set()).add((k, "left"))
-                self.parents.setdefault(rk, set()).add((k, "right"))
-                self.cat_parts[k] = (lk, rk)
-            else:
-                self.parents.setdefault(lk, set()).add((k, "alt"))
-                self.parents.setdefault(rk, set()).add((k, "alt"))
-        elif tag == "star":
-            bk = self._walk(node[1])
-            self.parents.setdefault(bk, set()).add((k, "body"))
-            self.star_body[k] = bk
+        if node[0] in ("cat", "alt"):
+            self.parts[k] = (self._walk(node[1]), self._walk(node[2]))
+        elif node[0] == "star":
+            self.parts[k] = self._walk(node[1])
         return k
 
 
 class Relations:
-    """Saturated move, next and inf facts for one strategy on one game.
+    """Move, next and inf facts for one strategy on one game, on demand.
 
     States are the reachable (strategy state, target state) pairs, index
-    0 the initial one.  For a state i and key r:
+    0 the initial one.  A configuration (i, r) is a state i and a key r,
+    a symbol or a subexpression of a rule.  Once demanded:
 
       * j in move[(i, r)] says processing r at i can finish in j,
-      * (j, a) in next_rel[(i, r)] says it can pass through a
-        configuration about to handle symbol a at j,
-      * (i, r) in inf says it can go on forever.
+      * (i, r) in inf says it can go on forever,
+      * next_from(i, r) holds the (j, a) such that processing r at i can
+        pass through a configuration about to handle symbol a at j.
 
     Calls are unfolded: handling a symbol the strategy calls means
-    handling the replacement expression from the called state.
+    handling the replacement expression from the called state.  The
+    attributes hold only the facts derived so far.
     """
 
-    def __init__(self, game, strategy):
-        self.game = game
+    def __init__(self, game, strategy, keys=None):
         self.automaton = _resolve_automaton(game, strategy)
+        self.alphabet = game.alphabet
+        self.keys = keys if keys is not None else _KeyIndex(game)
         sdfa = self.automaton
         targ = game.target
-        keys = _KeyIndex(game)
-        self.keys = keys
 
         # Reachable product pairs, following the move a play would make.
         start = (sdfa.initial, targ.initial)
@@ -133,13 +112,10 @@ class Relations:
                 else:
                     dest = (sdfa.transitions[(p, a)], targ.transitions[(q, a)])
                     self.read_to[(i, a)] = self._intern(dest, queue)
-        self.call_sources = {}
-        for (i, a), j in self.hat_to.items():
-            self.call_sources.setdefault((a, j), []).append(i)
-
-        self._saturate_move()
-        self._saturate_next()
-        self._saturate_inf()
+        self.move = {}
+        self.next_rel = {}
+        self.inf = set()
+        self._waiters = {}
 
     def _intern(self, pair, queue):
         j = self.index.get(pair)
@@ -153,131 +129,145 @@ class Relations:
     def target_of(self, i):
         return self.pairs[i][1]
 
-    def _saturate_move(self):
-        keys = self.keys
-        move = {}
-        move_into = {}
-        work = deque()
+    def _hands_on(self, config):
+        """The configurations that processing config directly starts."""
+        i, k = config
+        if isinstance(k, str):
+            if config in self.calls:
+                return [(self.hat_to[config], self.keys.rule_key[k])]
+            return []
+        tag = k[0]
+        if tag == "cat":
+            left, right = self.keys.parts[k]
+            return [(i, left)] + [(j, right) for j in self.move[(i, left)]]
+        if tag == "alt":
+            return [(i, part) for part in self.keys.parts[k]]
+        if tag == "star":
+            return [(j, self.keys.parts[k]) for j in self.move[config]]
+        return []
 
-        def add(i, k, j):
-            bucket = move.setdefault((i, k), set())
-            if j not in bucket:
-                bucket.add(j)
-                move_into.setdefault((k, j), set()).add(i)
-                work.append((i, k, j))
+    def demand(self, configs):
+        """Derive the move and inf facts of configs and of every
+        configuration they hand on to.
 
-        for (i, a), j in self.read_to.items():
-            add(i, a, j)
-        n = len(self.pairs)
-        if keys.has_eps:
-            for i in range(n):
-                add(i, ("eps",), i)
-        for k in keys.star_keys:
-            for i in range(n):
-                add(i, k, i)
+        Move facts are tabulated: a configuration waits on the parts it
+        is built from and is told each of their results.
+        """
+        move, waiters, parts = self.move, self._waiters, self.keys.parts
+        fresh = []
+        for c in configs:
+            if c not in move:
+                move[c] = set()
+                waiters[c] = []
+                fresh.append(c)
+        if not fresh:
+            return
+        facts = deque()
 
-        while work:
-            src, k, dst = work.popleft()
-            for parent, role in keys.parents.get(k, ()):
-                if role == "left":
-                    right = keys.cat_parts[parent][1]
-                    for j in list(move.get((dst, right), ())):
-                        add(src, parent, j)
-                elif role == "right":
-                    left = keys.cat_parts[parent][0]
-                    for i0 in list(move_into.get((left, src), ())):
-                        add(i0, parent, dst)
-                elif role == "alt":
-                    add(src, parent, dst)
+        def add(c, j):
+            if j not in move[c]:
+                move[c].add(j)
+                facts.append((c, j))
+
+        def wait(c, target, then):
+            # target learns each result j of c; with then set, what it
+            # learns is the result of then processed from j
+            if c not in move:
+                move[c] = set()
+                waiters[c] = []
+                fresh.append(c)
+            waiters[c].append((target, then))
+            for j in list(move[c]):
+                tell(j, target, then)
+
+        def tell(j, target, then):
+            if then is None:
+                add(target, j)
+            else:
+                wait((j, then), target, None)
+
+        started = 0
+        while started < len(fresh) or facts:
+            if facts:
+                c, j = facts.popleft()
+                for target, then in waiters[c]:
+                    tell(j, target, then)
+                continue
+            c = fresh[started]
+            started += 1
+            i, k = c
+            if isinstance(k, str):
+                if c in self.calls:
+                    wait((self.hat_to[c], self.keys.rule_key[k]), c, None)
                 else:
-                    # body of a star: compose forwards with the star
-                    for j in list(move.get((dst, parent), ())):
-                        add(src, parent, j)
-            if isinstance(k, tuple) and k[0] == "star":
-                body = keys.star_body[k]
-                for i0 in list(move_into.get((body, src), ())):
-                    add(i0, k, dst)
-            for b in keys.call_groups.get(k, ()):
-                for i0 in self.call_sources.get((b, src), ()):
-                    add(i0, b, dst)
+                    add(c, self.read_to[c])
+            elif k[0] == "eps":
+                add(c, i)
+            elif k[0] == "alt":
+                for part in parts[k]:
+                    wait((i, part), c, None)
+            elif k[0] == "cat":
+                wait((i, parts[k][0]), c, parts[k][1])
+            else:
+                add(c, i)
+                wait((i, parts[k]), c, k)
 
-        self.move = move
-        self.move_into = move_into
+        # A fresh configuration can go on forever when it survives the
+        # repeated removal of those that hand on to nothing left: the
+        # graph is finite, so a path that never ends runs into a cycle.
+        # Earlier configurations are settled; those in inf stay.
+        live = {c: 0 for c in fresh}
+        users = {}
+        for c in fresh:
+            for d in self._hands_on(c):
+                if d in live:
+                    live[c] += 1
+                    users.setdefault(d, []).append(c)
+                elif d in self.inf:
+                    live[c] += 1
+        dead = [c for c, n in live.items() if n == 0]
+        while dead:
+            for c in users.get(dead.pop(), ()):
+                live[c] -= 1
+                if live[c] == 0:
+                    dead.append(c)
+        self.inf.update(c for c, n in live.items() if n)
 
-    def _saturate_next(self):
-        keys = self.keys
-        move_into = self.move_into
-        next_rel = {}
-        work = deque()
+    def demand_all(self):
+        """Demand every configuration of a state and a symbol."""
+        self.demand((i, a) for i in range(len(self.pairs)) for a in self.alphabet)
 
-        def add(i, k, j, a):
-            bucket = next_rel.setdefault((i, k), set())
-            if (j, a) not in bucket:
-                bucket.add((j, a))
-                work.append((i, k, j, a))
-
-        for i in range(len(self.pairs)):
-            for a in self.game.alphabet:
-                add(i, a, i, a)
-        while work:
-            src, k, j, a = work.popleft()
-            for parent, role in keys.parents.get(k, ()):
-                if role in ("left", "alt"):
-                    add(src, parent, j, a)
-                elif role == "right":
-                    left = keys.cat_parts[parent][0]
-                    for i0 in list(move_into.get((left, src), ())):
-                        add(i0, parent, j, a)
-                else:
-                    for i0 in list(move_into.get((parent, src), ())):
-                        add(i0, parent, j, a)
-            for b in keys.call_groups.get(k, ()):
-                for i0 in self.call_sources.get((b, src), ()):
-                    add(i0, b, j, a)
-
-        self.next_rel = next_rel
-
-    def _saturate_inf(self):
-        keys = self.keys
-        move_into = self.move_into
-        inf = set()
-        work = deque()
-
-        def add(i, k):
-            if (i, k) not in inf:
-                inf.add((i, k))
-                work.append((i, k))
-
-        for i, a in self.calls:
-            h = self.hat_to[(i, a)]
-            if (i, a) in self.next_rel.get((h, keys.rule_key[a]), ()):
-                add(i, a)
-        while work:
-            src, k = work.popleft()
-            for parent, role in keys.parents.get(k, ()):
-                if role in ("left", "alt"):
-                    add(src, parent)
-                elif role == "right":
-                    left = keys.cat_parts[parent][0]
-                    for i0 in list(move_into.get((left, src), ())):
-                        add(i0, parent)
-                else:
-                    for i0 in list(move_into.get((parent, src), ())):
-                        add(i0, parent)
-            for b in keys.call_groups.get(k, ()):
-                for i0 in self.call_sources.get((b, src), ()):
-                    add(i0, b)
-
-        self.inf = inf
+    def next_from(self, i, k):
+        """The (j, a) that processing k at i can pass through."""
+        found = self.next_rel.get((i, k))
+        if found is None:
+            self.demand([(i, k)])
+            found = set()
+            seen = {(i, k)}
+            stack = [(i, k)]
+            while stack:
+                c = stack.pop()
+                if isinstance(c[1], str):
+                    found.add(c)
+                for d in self._hands_on(c):
+                    if d not in seen:
+                        seen.add(d)
+                        stack.append(d)
+            self.next_rel[(i, k)] = found
+        return found
 
 
 def compute_relations(game, strategy):
-    """Saturate the move, next and inf relations of a strategy."""
-    return Relations(game, strategy)
+    """The move and inf relations of a strategy on every symbol."""
+    rel = Relations(game, strategy)
+    rel.demand_all()
+    return rel
 
 
 # Relations are pure functions of (game, strategy); memoize them on object
-# identity so repeated queries about the same pair stay cheap.
+# identity so repeated queries about the same pair stay cheap.  An entry
+# goes when its game or strategy dies; ids are reused, so only an entry
+# still holding a dead reference is dropped.
 _relations_cache = {}
 
 
@@ -287,8 +277,15 @@ def _cached_relations(game, strategy):
     if entry is not None and entry[0]() is game and entry[1]() is strategy:
         return entry[2]
     rel = Relations(game, strategy)
+    rel.demand_all()
+
+    def evict(_):
+        held = _relations_cache.get(key)
+        if held is not None and (held[0]() is None or held[1]() is None):
+            del _relations_cache[key]
+
     try:
-        refs = (weakref.ref(game), weakref.ref(strategy))
+        refs = (weakref.ref(game, evict), weakref.ref(strategy, evict))
     except TypeError:
         return rel
     if len(_relations_cache) > 4096:
@@ -393,7 +390,8 @@ def exists_winning_sreg(game, word, mode="auto", budget=2 ** 20):
     "exhaustive" tries reroute sets in bitmask order, "incremental" by
     size first, "dfs" branches only on the reroute decisions that plays
     actually run into, "auto" picks exhaustive when the whole space fits
-    into the budget and dfs otherwise.
+    into the budget and dfs otherwise.  Raises BudgetExceeded when the
+    exhaustive space, or the number of dfs nodes, exceeds the budget.
     """
     _check_word(game, word)
     pairs = [
@@ -405,7 +403,7 @@ def exists_winning_sreg(game, word, mode="auto", budget=2 ** 20):
     if mode == "auto":
         mode = "exhaustive" if 2 ** k <= budget else "dfs"
     if mode == "dfs":
-        return _dfs_sreg(game, word, pairs)
+        return _dfs_sreg(game, word, budget)
     if mode not in ("exhaustive", "incremental"):
         raise ValueError("unknown mode %r" % (mode,))
     if 2 ** k > budget:
@@ -430,21 +428,30 @@ def exists_winning_sreg(game, word, mode="auto", budget=2 ** 20):
     return None
 
 
-def _dfs_sreg(game, word, pairs):
+def _dfs_sreg(game, word, budget):
     """Backtracking search over reroute decisions.
 
     Undecided transitions default to reading.  A simulation that loses
     reports, in encounter order, the undecided (state, symbol) decisions
     some play ran into; flipping one of those to a call is the only way
-    to change anything, so the search branches exactly there.
+    to change anything, so the search branches exactly there.  Each
+    simulation derives only the facts the plays on the word reach.
     """
     rules = game.rules
     accepting = game.target.accepting
+    keys = _KeyIndex(game)
+    nodes = 0
 
     def simulate(decided):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(
+                "the search needs more than the budget of %d nodes" % budget
+            )
         reroutes = [p for p, call in decided.items() if call]
         strategy = strongly_regular_automaton(game, reroutes)
-        rel = compute_relations(game, strategy)
+        rel = Relations(game, strategy, keys)
         seen = []
         noted = set()
 
@@ -457,17 +464,17 @@ def _dfs_sreg(game, word, pairs):
         current = {0}
         lost = False
         for a in word:
+            rel.demand([(i, a) for i in current])
             nxt = set()
             for i in sorted(current):
                 note(i, a)
                 if (i, a) in rel.calls:
                     h = rel.hat_to[(i, a)]
-                    inner = rel.next_rel.get((h, rel.keys.rule_key[a]), ())
-                    for j, b in sorted(inner):
+                    for j, b in sorted(rel.next_from(h, keys.rule_key[a])):
                         note(j, b)
                 if (i, a) in rel.inf:
                     lost = True
-                nxt.update(rel.move.get((i, a), ()))
+                nxt.update(rel.move[(i, a)])
             current = nxt
         if not lost:
             lost = any(rel.target_of(i) not in accepting for i in current)

@@ -601,7 +601,12 @@ def build_parser():
         default="auto",
         choices=["auto", "exhaustive", "incremental", "dfs"],
     )
-    p.add_argument("--budget", type=int, default=2 ** 20)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=2 ** 20,
+        help="most reroute sets (exhaustive, incremental) or search nodes (dfs)",
+    )
     p.add_argument("--out", help="write the found strategy here")
     p.set_defaults(func=cmd_exists_winning)
 

@@ -217,6 +217,195 @@ def brute_force_effects(game, strategy):
     return pairs, index, effects, alive
 
 
+def _rule_keys(game):
+    """Keys, parent edges, concatenation parts, star bodies and rule keys
+    of a game's replacement rules; a bare symbol node's key is the symbol.
+    """
+
+    def key_of(node):
+        return node[1] if node[0] == "sym" else node
+
+    keys = set(game.alphabet)
+    parents = {}
+    cat_parts = {}
+    star_body = {}
+
+    def walk(node):
+        k = key_of(node)
+        keys.add(k)
+        tag = node[0]
+        if tag in ("cat", "alt"):
+            lk = walk(node[1])
+            rk = walk(node[2])
+            if tag == "cat":
+                parents.setdefault(lk, set()).add((k, "left"))
+                parents.setdefault(rk, set()).add((k, "right"))
+                cat_parts[k] = (lk, rk)
+            else:
+                parents.setdefault(lk, set()).add((k, "alt"))
+                parents.setdefault(rk, set()).add((k, "alt"))
+        elif tag == "star":
+            bk = walk(node[1])
+            parents.setdefault(bk, set()).add((k, "body"))
+            star_body[k] = bk
+        return k
+
+    rule_key = {sym: walk(game.rules[sym]) for sym in game.function_symbols}
+    return keys, parents, cat_parts, star_body, rule_key
+
+
+class EagerRelations:
+    """Move, next and inf facts of a strategy automaton, saturated for
+    every reachable product pair and every key by three bottom-up
+    worklists: move first, then next and inf on top of its move_into.
+
+    Pairs are numbered in the breadth-first order of the library's
+    Relations, so the two can be compared index by index.
+    """
+
+    def __init__(self, game, sdfa):
+        from cfgame.games import hat
+
+        targ = game.target
+        self.keys, self.parents, self.cat_parts, self.star_body, self.rule_key = (
+            _rule_keys(game)
+        )
+        self.call_groups = {}
+        for sym, k in self.rule_key.items():
+            self.call_groups.setdefault(k, []).append(sym)
+        start = (sdfa.initial, targ.initial)
+        self.pairs = [start]
+        self.index = {start: 0}
+        self.calls = set()
+        self.read_to = {}
+        self.hat_to = {}
+        at = 0
+        while at < len(self.pairs):
+            p, q = self.pairs[at]
+            for a in game.alphabet:
+                if a in game.rules and sdfa.transitions[(p, a)] in sdfa.accepting:
+                    self.calls.add((at, a))
+                    dest = (sdfa.transitions[(p, hat(a))], q)
+                    self.hat_to[(at, a)] = self._intern(dest)
+                else:
+                    dest = (sdfa.transitions[(p, a)], targ.transitions[(q, a)])
+                    self.read_to[(at, a)] = self._intern(dest)
+            at += 1
+        self.call_sources = {}
+        for (i, a), j in self.hat_to.items():
+            self.call_sources.setdefault((a, j), []).append(i)
+        self._saturate_move()
+        self._saturate_next(game.alphabet)
+        self._saturate_inf()
+
+    def _intern(self, pair):
+        if pair not in self.index:
+            self.index[pair] = len(self.pairs)
+            self.pairs.append(pair)
+        return self.index[pair]
+
+    def _saturate_move(self):
+        move = {}
+        move_into = {}
+        work = []
+
+        def add(i, k, j):
+            bucket = move.setdefault((i, k), set())
+            if j not in bucket:
+                bucket.add(j)
+                move_into.setdefault((k, j), set()).add(i)
+                work.append((i, k, j))
+
+        for (i, a), j in self.read_to.items():
+            add(i, a, j)
+        for i in range(len(self.pairs)):
+            for k in self.keys:
+                if k == ("eps",) or (isinstance(k, tuple) and k[0] == "star"):
+                    add(i, k, i)
+        while work:
+            src, k, dst = work.pop()
+            for parent, role in self.parents.get(k, ()):
+                if role == "left":
+                    for j in list(move.get((dst, self.cat_parts[parent][1]), ())):
+                        add(src, parent, j)
+                elif role == "right":
+                    for i0 in list(move_into.get((self.cat_parts[parent][0], src), ())):
+                        add(i0, parent, dst)
+                elif role == "alt":
+                    add(src, parent, dst)
+                else:
+                    for j in list(move.get((dst, parent), ())):
+                        add(src, parent, j)
+            if k in self.star_body:
+                for i0 in list(move_into.get((self.star_body[k], src), ())):
+                    add(i0, k, dst)
+            for b in self.call_groups.get(k, ()):
+                for i0 in self.call_sources.get((b, src), ()):
+                    add(i0, b, dst)
+        self.move = move
+        self.move_into = move_into
+
+    def _saturate_next(self, alphabet):
+        move_into = self.move_into
+        next_rel = {}
+        work = []
+
+        def add(i, k, j, a):
+            bucket = next_rel.setdefault((i, k), set())
+            if (j, a) not in bucket:
+                bucket.add((j, a))
+                work.append((i, k, j, a))
+
+        for i in range(len(self.pairs)):
+            for a in alphabet:
+                add(i, a, i, a)
+        while work:
+            src, k, j, a = work.pop()
+            for parent, role in self.parents.get(k, ()):
+                if role in ("left", "alt"):
+                    add(src, parent, j, a)
+                elif role == "right":
+                    for i0 in list(move_into.get((self.cat_parts[parent][0], src), ())):
+                        add(i0, parent, j, a)
+                else:
+                    for i0 in list(move_into.get((parent, src), ())):
+                        add(i0, parent, j, a)
+            for b in self.call_groups.get(k, ()):
+                for i0 in self.call_sources.get((b, src), ()):
+                    add(i0, b, j, a)
+        self.next_rel = next_rel
+
+    def _saturate_inf(self):
+        move_into = self.move_into
+        inf = set()
+        work = []
+
+        def add(i, k):
+            if (i, k) not in inf:
+                inf.add((i, k))
+                work.append((i, k))
+
+        for i, a in self.calls:
+            h = self.hat_to[(i, a)]
+            if (i, a) in self.next_rel.get((h, self.rule_key[a]), ()):
+                add(i, a)
+        while work:
+            src, k = work.pop()
+            for parent, role in self.parents.get(k, ()):
+                if role in ("left", "alt"):
+                    add(src, parent)
+                elif role == "right":
+                    for i0 in list(move_into.get((self.cat_parts[parent][0], src), ())):
+                        add(i0, parent)
+                else:
+                    for i0 in list(move_into.get((parent, src), ())):
+                        add(i0, parent)
+            for b in self.call_groups.get(k, ()):
+                for i0 in self.call_sources.get((b, src), ()):
+                    add(i0, b)
+        self.inf = inf
+
+
 def best_one_pass_win_set(game, max_word_len, history_bound, node_budget=2000000):
     """Shortlex-greatest winning set achievable by a one-pass strategy
     whose read/call decisions live on histories shorter than the bound,

@@ -1,9 +1,12 @@
 """Checks of the relation saturation and the decision procedures on top."""
 
+import gc
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from cfgame import analysis
 from cfgame.analysis import (
     BudgetExceeded,
     compute_relations,
@@ -27,6 +30,7 @@ from cfgame.automata import (
 )
 from cfgame.fixtures import fixture, fixture_names
 from cfgame.games import Game
+from cfgame.generators import CnfFormula, from_3sat
 from cfgame.play import (
     WIN,
     ForgetfulStrategy,
@@ -35,7 +39,7 @@ from cfgame.play import (
     read_all_strategy,
     strongly_regular_automaton,
 )
-from oracles import brute_force_effects, words_upto
+from oracles import EagerRelations, brute_force_effects, words_upto
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -156,6 +160,21 @@ def test_exists_winning_sreg_budget():
         exists_winning_sreg(game, ("c",), mode="exhaustive", budget=4)
     found = exists_winning_sreg(game, ("c",), mode="auto", budget=4)
     assert found is not None
+    # the dfs search for c visits three nodes
+    with pytest.raises(BudgetExceeded):
+        exists_winning_sreg(game, ("c",), mode="dfs", budget=2)
+    assert exists_winning_sreg(game, ("c",), mode="dfs", budget=3) is not None
+
+
+def test_relations_cache_drops_dead_strategies():
+    game = fixture("g2-regular-not-sreg").game
+    strategy = strongly_regular_automaton(game, [(0, "c")])
+    is_winning(game, strategy, ("c",))
+    key = (id(game), id(strategy))
+    assert key in analysis._relations_cache
+    del strategy
+    gc.collect()
+    assert key not in analysis._relations_cache
 
 
 def test_empty_word_can_win():
@@ -247,6 +266,30 @@ def small_finite_games(draw):
 
 
 @st.composite
+def small_regex_games(draw):
+    # rules with stars and empty words inside; the closing symbol keeps
+    # the empty word out of the replacement language
+    alphabet = ("a", "b")
+    target = Dfa(
+        2, alphabet, {(0, "a"): 1, (0, "b"): 0, (1, "a"): 0, (1, "b"): 1}, 0, {0}
+    )
+    leaves = st.sampled_from([("sym", "a"), ("sym", "b"), ("eps",)])
+    asts = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(st.just("star"), inner),
+            st.tuples(st.sampled_from(["cat", "alt"]), inner, inner),
+        ),
+        max_leaves=5,
+    )
+    rules = {}
+    for sym in alphabet:
+        if sym == "a" or draw(st.booleans()):
+            rules[sym] = ("cat", draw(asts), ("sym", draw(st.sampled_from(alphabet))))
+    return Game(alphabet, rules, target)
+
+
+@st.composite
 def random_strategies(draw, game):
     kind = draw(st.sampled_from(("general", "forgetful", "sreg")))
     if kind == "sreg":
@@ -285,6 +328,108 @@ def test_relations_match_brute_effects(data):
         ri = rel.index[pairs[i]]
         for a in game.alphabet:
             assert ((ri, a) in rel.inf) == ((i, a) in diverging)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_relations_match_eager_saturation(data):
+    game = data.draw(st.one_of(small_finite_games(), small_regex_games()))
+    strategy = data.draw(random_strategies(game))
+    rel = compute_relations(game, strategy)
+    ref = EagerRelations(game, strategy.automaton(game))
+    assert rel.pairs == ref.pairs
+    for i in range(len(ref.pairs)):
+        for a in game.alphabet:
+            assert rel.move[(i, a)] == ref.move.get((i, a), set())
+            assert ((i, a) in rel.inf) == ((i, a) in ref.inf)
+        for k in ref.keys:
+            assert rel.next_from(i, k) == ref.next_rel.get((i, k), set())
+    # next_from demanded every configuration
+    for config, targets in rel.move.items():
+        assert targets == ref.move.get(config, set())
+        assert (config in rel.inf) == (config in ref.inf)
+
+
+# exists_winning_sreg on 3SAT reductions: (variables, clauses, reroutes
+# found by dfs and auto mode as {state: symbols}), recorded with the
+# eagerly saturated relations
+SREG_GOLDEN = [
+    (
+        2,
+        [(-2, 2, -2), (2, -2, -1), (-2, 2, 1)],
+        {0: "0", 4: "C", 6: "0", 10: "01C", 11: "E", 12: "01"},
+    ),
+    (
+        3,
+        [(3, -3, 2), (3, -3, 1)],
+        {0: "0", 4: "C", 6: "0", 10: "C", 12: "0", 16: "1C", 17: "E"},
+    ),
+    (1, [(1, 1, -1)], {0: "0", 4: "C", 5: "E"}),
+    (
+        2,
+        [(-1, 1, 1), (-2, 2, 1)],
+        {0: "0", 4: "1C", 6: "0", 10: "1C", 11: "E", 12: "1"},
+    ),
+    (
+        3,
+        [(-2, -2, -2)],
+        {0: "0", 4: "C", 6: "0", 10: "0C", 12: "0", 16: "C", 17: "E", 18: "0"},
+    ),
+    (1, [(-1, -1, 1), (-1, -1, 1)], {0: "0", 4: "01C", 5: "E", 6: "1"}),
+    (2, [(2, 2, -1), (-1, 2, 1)], {0: "0", 4: "1C", 6: "0", 10: "C", 11: "E", 12: "1"}),
+    (
+        3,
+        [(-1, 2, -3), (3, -3, -3)],
+        {0: "0", 4: "01C", 6: "0", 10: "C", 12: "0", 16: "0C", 17: "E", 18: "0"},
+    ),
+    (1, [(-1, 1, 1), (-1, -1, -1), (-1, 1, 1)], {0: "0", 4: "01C", 5: "E", 6: "01"}),
+    (
+        2,
+        [(-2, -1, 1), (-1, 2, -2), (2, -2, -1)],
+        {0: "0", 4: "01C", 6: "0", 10: "01C", 11: "E", 12: "01"},
+    ),
+    (
+        3,
+        [(-1, 1, -3)],
+        {0: "0", 4: "01C", 6: "0", 10: "C", 12: "0", 16: "C", 17: "E", 18: "0"},
+    ),
+    (1, [(-1, -1, -1)], {0: "0", 4: "0C", 5: "E", 6: "0"}),
+    (2, [(1, 2, -2)], {0: "0", 4: "C", 6: "0", 10: "C", 11: "E"}),
+    (
+        3,
+        [(3, 1, -2), (-2, -3, -2)],
+        {0: "0", 4: "C", 6: "0", 10: "0C", 12: "0", 16: "C", 17: "E", 18: "0"},
+    ),
+    (1, [(-1, 1, 1)], {0: "0", 4: "1C", 5: "E", 6: "1"}),
+    (
+        2,
+        [(1, 2, 2), (1, -2, -2), (2, 1, -1)],
+        {0: "1", 2: "D", 4: "01", 6: "0", 10: "C", 11: "E", 12: "01"},
+    ),
+    (
+        3,
+        [(-1, -1, -2), (3, 1, 2)],
+        {
+            0: "0", 4: "0C", 6: "0", 10: "C", 12: "1", 14: "D", 16: "1", 17: "E",
+            18: "01",
+        },
+    ),
+    (1, [(-1, -1, 1), (1, 1, 1)], {0: "1", 2: "D", 4: "1", 5: "E", 6: "1"}),
+    (1, [(1, 1, 1), (-1, -1, -1)], None),
+    (2, [(1, 2, 2), (1, -2, -2), (-1, 2, 2), (-1, -2, -2)], None),
+]
+
+
+@pytest.mark.parametrize("n_vars, clauses, reroutes", SREG_GOLDEN)
+def test_sreg_reroutes_golden(n_vars, clauses, reroutes):
+    game, word = from_3sat(CnfFormula(n_vars, clauses))
+    for mode in ("dfs", "auto"):
+        found = exists_winning_sreg(game, word, mode=mode)
+        if reroutes is None:
+            assert found is None, mode
+        else:
+            expected = {(q, a) for q, symbols in reroutes.items() for a in symbols}
+            assert found.reroutes == expected, mode
 
 
 @settings(deadline=None, max_examples=40)

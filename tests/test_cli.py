@@ -293,6 +293,22 @@ def test_exists_winning_budget_exceeded(tmp_path, capsys):
     assert "error" in data
 
 
+def test_exists_winning_dfs_budget_exceeded(capsys):
+    code, data = run_json(
+        capsys,
+        "exists-winning",
+        "fixture:g2-regular-not-sreg",
+        "--word",
+        "c",
+        "--mode",
+        "dfs",
+        "--budget",
+        "2",
+    )
+    assert code == 3
+    assert data["exit"] == 3
+
+
 def test_generate_universality_and_compare(tmp_path, capsys):
     nfa = {
         "states": 1,
@@ -504,6 +520,18 @@ def declared_entry_point(name):
     return module, function
 
 
+def package_env():
+    # the environment with the cfgame package this suite imports first on
+    # the path
+    package_root = os.path.dirname(
+        os.path.dirname(os.path.abspath(cfgame.cli.__file__))
+    )
+    pythonpath = [package_root]
+    if os.environ.get("PYTHONPATH"):
+        pythonpath.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+
+
 def check_cfgame_process(command, env=None):
     def run_process(*argv):
         return subprocess.run(
@@ -531,15 +559,14 @@ def test_console_script_is_installed():
     wrapper = "import sys; from {0} import {1}; sys.exit({1}())".format(
         module, function
     )
-    package_root = os.path.dirname(
-        os.path.dirname(os.path.abspath(cfgame.cli.__file__))
-    )
-    pythonpath = [package_root]
-    if os.environ.get("PYTHONPATH"):
-        pythonpath.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
-    check_cfgame_process([sys.executable, "-c", wrapper], env=env)
+    check_cfgame_process([sys.executable, "-c", wrapper], env=package_env())
 
     installed = shutil.which("cfgame")
     if installed:
         check_cfgame_process([installed])
+
+
+def test_python_m_cfgame():
+    # a regular package, so no other cfgame directory on sys.path merges in
+    assert cfgame.__file__ is not None
+    check_cfgame_process([sys.executable, "-m", "cfgame"], env=package_env())
