@@ -14,7 +14,6 @@ import weakref
 from collections import deque
 
 from .automata import (
-    Dfa,
     Nfa,
     complement,
     determinize,
@@ -22,21 +21,11 @@ from .automata import (
     subset_witness,
 )
 from .games import hat
-from .play import GeneralStrategy, StrategyFormatError, strongly_regular_automaton
+from .play import strategy_automaton, strongly_regular_automaton
 
 
 class BudgetExceeded(RuntimeError):
     """A search space is larger than the caller allowed."""
-
-
-def _resolve_automaton(game, strategy):
-    if isinstance(strategy, Dfa):
-        return GeneralStrategy(strategy).automaton(game)
-    if hasattr(strategy, "automaton"):
-        return strategy.automaton(game)
-    raise StrategyFormatError(
-        "need a strategy object or automaton, got %r" % type(strategy).__name__
-    )
 
 
 def _key_of(node):
@@ -87,7 +76,7 @@ class Relations:
     """
 
     def __init__(self, game, strategy, keys=None):
-        self.automaton = _resolve_automaton(game, strategy)
+        self.automaton = strategy_automaton(game, strategy)
         self.alphabet = game.alphabet
         self.keys = keys if keys is not None else _KeyIndex(game)
         sdfa = self.automaton

@@ -200,9 +200,6 @@ class Dfa:
             }
             raise ValueError("unexpected transitions: %r" % sorted(extra))
 
-    def step(self, state, symbol):
-        return self.transitions[(state, symbol)]
-
     def run(self, word, state=None):
         q = self.initial if state is None else state
         for a in word:
@@ -221,16 +218,6 @@ class Dfa:
             and self.initial == other.initial
             and self.accepting == other.accepting
             and self.transitions == other.transitions
-        )
-
-    def canonical_key(self):
-        """Hashable structural key, for use after minimize()."""
-        return (
-            self.n_states,
-            self.alphabet,
-            self.initial,
-            tuple(sorted(self.accepting)),
-            tuple(sorted(self.transitions.items())),
         )
 
     def __repr__(self):
@@ -492,38 +479,49 @@ def complement(dfa):
     )
 
 
-def _pair_bfs_find(d1, d2, predicate):
-    """Breadth-first search over the pair graph of two total DFAs, expanding
-    in alphabet order.  Returns the access word of the first visited pair
-    satisfying predicate(in1, in2), or None.  Visit order equals shortlex
-    order of first-access words, so the returned word is the shortlex least
-    word whose memberships satisfy the predicate."""
-    if d1.alphabet != d2.alphabet:
-        raise ValueError("alphabet mismatch: %r vs %r" % (d1.alphabet, d2.alphabet))
-    start = (d1.initial, d2.initial)
+def _shortlex_path(start, step, alphabet, goal):
+    """Breadth-first search from start, expanding in alphabet order.
+
+    Returns the word leading to the first visited node satisfying
+    goal(node), or None.  Visit order equals shortlex order of
+    first-access words, so the word is the shortlex least one that
+    reaches a goal node.
+    """
     parent = {start: None}
     queue = deque([start])
     while queue:
-        pair = queue.popleft()
-        p1, p2 = pair
-        if predicate(p1 in d1.accepting, p2 in d2.accepting):
+        node = queue.popleft()
+        if goal(node):
             word = []
-            node = pair
             while parent[node] is not None:
                 node, a = parent[node]
                 word.append(a)
             return tuple(reversed(word))
-        for a in d1.alphabet:
-            nxt = (d1.transitions[(p1, a)], d2.transitions[(p2, a)])
+        for a in alphabet:
+            nxt = step(node, a)
             if nxt not in parent:
-                parent[nxt] = (pair, a)
+                parent[nxt] = (node, a)
                 queue.append(nxt)
     return None
 
 
+def _pair_path(d1, d2, predicate):
+    """Shortlex least word whose memberships in two total DFAs satisfy
+    predicate(in1, in2), or None."""
+    if d1.alphabet != d2.alphabet:
+        raise ValueError("alphabet mismatch: %r vs %r" % (d1.alphabet, d2.alphabet))
+    t1, t2 = d1.transitions, d2.transitions
+    return _shortlex_path(
+        (d1.initial, d2.initial),
+        lambda pair, a: (t1[(pair[0], a)], t2[(pair[1], a)]),
+        d1.alphabet,
+        lambda pair: predicate(pair[0] in d1.accepting, pair[1] in d2.accepting),
+    )
+
+
 def subset_witness(d1, d2):
     """Shortlex least word in L(d1) \\ L(d2), or None if L(d1) <= L(d2)."""
-    return _pair_bfs_find(d1, d2, lambda x, y: x and not y)
+    return _pair_path(d1, d2, lambda x, y: x and not y)
 
 
 def is_subset(d1, d2):
@@ -542,7 +540,7 @@ def compare_shortlex(d1, d2):
     word of the symmetric difference; the language containing it is the
     larger one.  witness is that word (None when equal).
     """
-    word = _pair_bfs_find(d1, d2, lambda x, y: x != y)
+    word = _pair_path(d1, d2, lambda x, y: x != y)
     if word is None:
         return 0, None
     return (1, word) if d1.accepts(word) else (-1, word)
@@ -555,35 +553,25 @@ def shortlex_key(word, alphabet):
 
 def shortlex_min_word(dfa):
     """Shortlex least accepted word, or None for the empty language."""
-    parent = {dfa.initial: None}
-    queue = deque([dfa.initial])
-    while queue:
-        q = queue.popleft()
-        if q in dfa.accepting:
-            word = []
-            node = q
-            while parent[node] is not None:
-                node, a = parent[node]
-                word.append(a)
-            return tuple(reversed(word))
-        for a in dfa.alphabet:
-            t = dfa.transitions[(q, a)]
-            if t not in parent:
-                parent[t] = (q, a)
-                queue.append(t)
-    return None
+    trans = dfa.transitions
+    return _shortlex_path(
+        dfa.initial, lambda q, a: trans[(q, a)], dfa.alphabet, dfa.accepting.__contains__
+    )
 
 
 def is_empty(dfa):
     return shortlex_min_word(dfa) is None
 
 
-def coaccessible_states(dfa):
-    """States from which some accepting state is reachable (in 0+ steps)."""
+def coaccessible_states(automaton):
+    """States of a Dfa or Nfa from which some accepting state is reachable
+    (in 0+ steps)."""
+    deterministic = isinstance(automaton, Dfa)
     incoming = {}
-    for (q, a), t in dfa.transitions.items():
-        incoming.setdefault(t, set()).add(q)
-    result = set(dfa.accepting)
+    for (q, _), targets in automaton.transitions.items():
+        for t in (targets,) if deterministic else targets:
+            incoming.setdefault(t, set()).add(q)
+    result = set(automaton.accepting)
     queue = deque(result)
     while queue:
         q = queue.popleft()
@@ -594,37 +582,41 @@ def coaccessible_states(dfa):
     return result
 
 
+def has_cycle(nodes, successors):
+    """Whether the graph reached from nodes through successors(node) has a
+    cycle.  Iterative depth-first search, so long paths are fine."""
+    color = {}  # 1 while on the search path, 2 when done
+    for root in nodes:
+        if root in color:
+            continue
+        color[root] = 1
+        path = [(root, iter(successors(root)))]
+        while path:
+            node, succs = path[-1]
+            for succ in succs:
+                c = color.get(succ)
+                if c == 1:
+                    return True
+                if c is None:
+                    color[succ] = 1
+                    path.append((succ, iter(successors(succ))))
+                    break
+            else:
+                color[node] = 2
+                path.pop()
+    return False
+
+
 def language_is_finite(dfa):
     """True when L(dfa) is finite: no cycle among states that are both
     reachable and coaccessible."""
     live = coaccessible_states(dfa)
-    reachable = {dfa.initial}
-    stack = [dfa.initial]
-    while stack:
-        q = stack.pop()
-        for a in dfa.alphabet:
-            t = dfa.transitions[(q, a)]
-            if t not in reachable:
-                reachable.add(t)
-                stack.append(t)
-    core = live & reachable
-    color = {}
-
-    def has_cycle(q):
-        color[q] = 1
-        for a in dfa.alphabet:
-            t = dfa.transitions[(q, a)]
-            if t not in core:
-                continue
-            c = color.get(t)
-            if c == 1:
-                return True
-            if c is None and has_cycle(t):
-                return True
-        color[q] = 2
-        return False
-
-    return not any(has_cycle(q) for q in core if q not in color)
+    # every state on a path from the initial state to a live one is live
+    roots = [dfa.initial] if dfa.initial in live else []
+    trans = dfa.transitions
+    return not has_cycle(
+        roots, lambda q: [t for t in (trans[(q, a)] for a in dfa.alphabet) if t in live]
+    )
 
 
 def enumerate_upto(automaton, max_len):
@@ -634,8 +626,8 @@ def enumerate_upto(automaton, max_len):
     (subsets with no coaccessible member, for an Nfa).
     """
     words = []
+    live = coaccessible_states(automaton)
     if isinstance(automaton, Dfa):
-        live = coaccessible_states(automaton)
         frontier = [((), automaton.initial)]
         for length in range(max_len + 1):
             nxt = []
@@ -651,18 +643,6 @@ def enumerate_upto(automaton, max_len):
         return words
 
     nfa = automaton
-    live = set(nfa.accepting)
-    incoming = {}
-    for (q, a), targets in nfa.transitions.items():
-        for t in targets:
-            incoming.setdefault(t, set()).add(q)
-    queue = deque(live)
-    while queue:
-        q = queue.popleft()
-        for p in incoming.get(q, ()):
-            if p not in live:
-                live.add(p)
-                queue.append(p)
     frontier = [((), frozenset(nfa.initials))]
     for length in range(max_len + 1):
         nxt = []
@@ -688,75 +668,30 @@ def all_words_upto(alphabet, max_len):
 def is_prefix_free(dfa):
     """Whether no accepted word is a proper prefix of another.
 
-    Returns (True, None) or (False, (word, extension)) where word is
-    accepted and word+extension is a longer accepted word; both parts are
-    shortlex least among the candidates found first.
+    Returns (True, None) or (False, (word, extension)) where word is the
+    shortlex least accepted word with an accepted proper extension and
+    extension the shortlex least nonempty word completing it.
     """
-    # States with a nonempty path to an accepting state.
-    incoming = {}
-    for (q, a), t in dfa.transitions.items():
-        incoming.setdefault(t, set()).add(q)
-    extendable = set()
-    queue = deque()
-    for f in dfa.accepting:
-        for p in incoming.get(f, ()):
-            if p not in extendable:
-                extendable.add(p)
-                queue.append(p)
-    while queue:
-        q = queue.popleft()
-        for p in incoming.get(q, ()):
-            if p not in extendable:
-                extendable.add(p)
-                queue.append(p)
-
-    # First accepting extendable state in shortlex access order.
-    parent = {dfa.initial: None}
-    order = deque([dfa.initial])
-    hit = None
-    while order:
-        q = order.popleft()
-        if q in dfa.accepting and q in extendable:
-            hit = q
-            break
-        for a in dfa.alphabet:
-            t = dfa.transitions[(q, a)]
-            if t not in parent:
-                parent[t] = (q, a)
-                order.append(t)
-    if hit is None:
+    trans = dfa.transitions
+    live = coaccessible_states(dfa)
+    # states with a nonempty path to an accepting state
+    extendable = {q for (q, _), t in trans.items() if t in live}
+    word = _shortlex_path(
+        dfa.initial,
+        lambda q, a: trans[(q, a)],
+        dfa.alphabet,
+        lambda q: q in dfa.accepting and q in extendable,
+    )
+    if word is None:
         return True, None
-    word = []
-    node = hit
-    while parent[node] is not None:
-        node, a = parent[node]
-        word.append(a)
-    word = tuple(reversed(word))
-
-    # Shortlex least nonempty continuation from hit back into acceptance.
-    cparent = {}
-    cqueue = deque()
-    for a in dfa.alphabet:
-        t = dfa.transitions[(hit, a)]
-        if t not in cparent:
-            cparent[t] = (None, a)
-            cqueue.append(t)
-    while cqueue:
-        q = cqueue.popleft()
-        if q in dfa.accepting:
-            ext = []
-            node = q
-            while node is not None:
-                prev, a = cparent[node]
-                ext.append(a)
-                node = prev
-            return False, (word, tuple(reversed(ext)))
-        for a in dfa.alphabet:
-            t = dfa.transitions[(q, a)]
-            if t not in cparent:
-                cparent[t] = (q, a)
-                cqueue.append(t)
-    raise AssertionError("extendable state had no continuation")
+    # nodes are (state, whether a symbol has been read yet)
+    extension = _shortlex_path(
+        (dfa.run(word), False),
+        lambda node, a: (trans[(node[0], a)], True),
+        dfa.alphabet,
+        lambda node: node[1] and node[0] in dfa.accepting,
+    )
+    return False, (word, extension)
 
 
 def dfa_to_dict(dfa):
@@ -770,23 +705,44 @@ def dfa_to_dict(dfa):
     }
 
 
-def dfa_from_dict(data):
+def _transition_triples(data):
+    """The (q, a, t) transition entries of an automaton description.
+
+    Raises ValueError when the description is not an object, lacks a
+    field, or has a transitions value that is not a list of hashable
+    triples.
+    """
     if not isinstance(data, dict):
         raise ValueError("automaton description must be an object")
     for field in ("alphabet", "states", "initial", "accepting", "transitions"):
         if field not in data:
             raise ValueError("automaton is missing %r" % field)
-    transitions = {}
+    if not isinstance(data["transitions"], (list, tuple)):
+        raise ValueError("transitions must be a list, got %r" % (data["transitions"],))
+    triples = []
     for entry in data["transitions"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise ValueError("bad transition entry %r" % (entry,))
-        q, a, t = entry
+        try:
+            hash(tuple(entry))
+        except TypeError:
+            raise ValueError("unhashable transition entry %r" % (entry,)) from None
+        triples.append(tuple(entry))
+    return triples
+
+
+def dfa_from_dict(data):
+    transitions = {}
+    for q, a, t in _transition_triples(data):
         if (q, a) in transitions:
             raise ValueError("duplicate transition for state %r on %r" % (q, a))
         transitions[(q, a)] = t
-    return Dfa(
-        data["states"], data["alphabet"], transitions, data["initial"], data["accepting"]
-    )
+    try:
+        return Dfa(
+            data["states"], data["alphabet"], transitions, data["initial"], data["accepting"]
+        )
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def nfa_to_dict(nfa):
@@ -805,28 +761,23 @@ def nfa_to_dict(nfa):
 
 
 def nfa_from_dict(data):
-    if not isinstance(data, dict):
-        raise ValueError("automaton description must be an object")
-    for field in ("alphabet", "states", "initial", "accepting", "transitions"):
-        if field not in data:
-            raise ValueError("automaton is missing %r" % field)
     transitions = {}
-    for entry in data["transitions"]:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise ValueError("bad transition entry %r" % (entry,))
-        q, a, t = entry
+    for q, a, t in _transition_triples(data):
         transitions.setdefault((q, a), set()).add(t)
     initials = data["initial"]
     if isinstance(initials, int):
         initials = [initials]
-    nfa = Nfa(data["states"], data["alphabet"], transitions, initials, data["accepting"])
-    for q in nfa.initials | nfa.accepting | {s for s, _ in nfa.transitions}:
-        if not 0 <= q < nfa.n_states:
-            raise ValueError("state %r out of range" % (q,))
-    for targets in nfa.transitions.values():
-        for t in targets:
-            if not 0 <= t < nfa.n_states:
-                raise ValueError("state %r out of range" % (t,))
+    try:
+        nfa = Nfa(data["states"], data["alphabet"], transitions, initials, data["accepting"])
+        for q in nfa.initials | nfa.accepting | {s for s, _ in nfa.transitions}:
+            if not 0 <= q < nfa.n_states:
+                raise ValueError("state %r out of range" % (q,))
+        for targets in nfa.transitions.values():
+            for t in targets:
+                if not 0 <= t < nfa.n_states:
+                    raise ValueError("state %r out of range" % (t,))
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
     symbol_set = set(nfa.alphabet)
     for _, a in nfa.transitions:
         if a not in symbol_set:

@@ -694,18 +694,17 @@ def main(argv=None):
     except CliError as exc:
         _emit_error(args, str(exc), exc.code)
         return exc.code
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, SynthesisError) as exc:
         _emit_error(args, str(exc), SCOPE)
         return SCOPE
-    except SynthesisError as exc:
-        _emit_error(args, str(exc), SCOPE)
+    except (
+        GameFormatError, StrategyFormatError, OnlineFormatError, PlayProtocolError
+    ) as exc:
+        _emit_error(args, str(exc), USAGE)
+        return USAGE
+    except RecursionError:
+        _emit_error(args, "input nests too deeply for this implementation", SCOPE)
         return SCOPE
-    except (GameFormatError, StrategyFormatError, OnlineFormatError) as exc:
-        _emit_error(args, str(exc), USAGE)
-        return USAGE
-    except PlayProtocolError as exc:
-        _emit_error(args, str(exc), USAGE)
-        return USAGE
     except KeyboardInterrupt:
         print(
             json.dumps(

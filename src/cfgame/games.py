@@ -13,6 +13,9 @@ from .automata import (
     Dfa,
     RegexSyntaxError,
     determinize,
+    dfa_from_dict,
+    dfa_to_dict,
+    has_cycle,
     is_prefix_free,
     language_is_finite,
     minimize,
@@ -181,23 +184,11 @@ class Game:
             target = reduced
         self.target = target
 
-        self._rule_nfas = {}
-        self._rule_dfas = {}
-        for sym, ast in self.rules.items():
-            nfa = regex_to_nfa(ast, self.alphabet)
-            self._rule_nfas[sym] = nfa
-            self._rule_dfas[sym] = minimize(determinize(nfa))
-
+        self._rule_dfas = {
+            sym: minimize(determinize(regex_to_nfa(ast, self.alphabet)))
+            for sym, ast in self.rules.items()
+        }
         self.name = name
-
-    def is_function_symbol(self, symbol):
-        return symbol in self.rules
-
-    def replacement_nfa(self, symbol):
-        try:
-            return self._rule_nfas[symbol]
-        except KeyError:
-            raise ValueError("%r has no replacement rule" % (symbol,)) from None
 
     def replacement_dfa(self, symbol):
         """Minimal DFA for the replacement language of a function symbol."""
@@ -235,17 +226,12 @@ class Game:
 
 
 def game_to_dict(game):
+    target = dfa_to_dict(game.target)
+    del target["alphabet"]
     data = {
         "alphabet": list(game.alphabet),
         "rules": {a: regex_to_text(ast) for a, ast in game.rules.items()},
-        "target": {
-            "states": game.target.n_states,
-            "initial": game.target.initial,
-            "accepting": sorted(game.target.accepting),
-            "transitions": [
-                [q, a, t] for (q, a), t in sorted(game.target.transitions.items())
-            ],
-        },
+        "target": target,
     }
     if game.name:
         data["name"] = game.name
@@ -258,31 +244,16 @@ def game_from_dict(data):
     missing = {"alphabet", "rules", "target"} - set(data)
     if missing:
         raise GameFormatError("missing fields: %s" % ", ".join(sorted(missing)))
-    target = data["target"]
-    if not isinstance(target, dict):
-        raise GameFormatError("target must be an object")
-    for field in ("states", "initial", "accepting", "transitions"):
-        if field not in target:
-            raise GameFormatError("target is missing %r" % field)
-    transitions = {}
-    for entry in target["transitions"]:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise GameFormatError("bad transition entry %r" % (entry,))
-        q, a, t = entry
-        if (q, a) in transitions:
-            raise GameFormatError("duplicate transition for state %r on %r" % (q, a))
-        transitions[(q, a)] = t
     if not isinstance(data["rules"], dict):
         raise GameFormatError("rules must be an object")
+    for sym, rx in data["rules"].items():
+        if not isinstance(rx, str):
+            raise GameFormatError("rule for %r must be a string, got %r" % (sym, rx))
+    if not isinstance(data["target"], dict):
+        raise GameFormatError("target must be an object")
     try:
-        dfa = Dfa(
-            target["states"],
-            data["alphabet"],
-            transitions,
-            target["initial"],
-            target["accepting"],
-        )
-    except (ValueError, TypeError) as exc:
+        dfa = dfa_from_dict(dict(data["target"], alphabet=data["alphabet"]))
+    except ValueError as exc:
         raise GameFormatError("bad target automaton: %s" % exc) from None
     return Game(data["alphabet"], data["rules"], dfa, name=data.get("name"))
 
@@ -327,23 +298,6 @@ class GameClassReport:
         return "GameClassReport(%r)" % (self.as_dict(),)
 
 
-def _acyclic(edges):
-    color = {}
-
-    def visit(node):
-        color[node] = 1
-        for succ in sorted(edges.get(node, ())):
-            c = color.get(succ)
-            if c == 1:
-                return False
-            if c is None and not visit(succ):
-                return False
-        color[node] = 2
-        return True
-
-    return all(visit(node) for node in sorted(edges) if node not in color)
-
-
 def classify(game):
     """Structural predicates of a game.
 
@@ -360,7 +314,7 @@ def classify(game):
     edges = {a: regex_symbols(game.rules[a]) & funcs for a in funcs}
     return GameClassReport(
         prefix_free=prefix_free,
-        non_recursive=_acyclic(edges),
+        non_recursive=not has_cycle(edges, edges.get),
         unary=len(game.alphabet) == 1,
         finite_target=language_is_finite(game.target),
         function_symbols=game.function_symbols,

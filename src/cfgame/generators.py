@@ -19,7 +19,7 @@ import random
 from .automata import Dfa, Nfa
 from .fixtures import Fixture, fixture, fixture_names  # noqa: F401
 from .games import Game, classify
-from .play import StronglyRegularSpec, strongly_regular_automaton
+from .play import StronglyRegularStrategy, strongly_regular_automaton
 
 
 def _word_ast(symbols):
@@ -191,10 +191,10 @@ def from_3sat(phi):
 
 
 def assignment_strategy(phi, assignment):
-    """Strongly regular spec induced by a variable assignment.
+    """Strongly regular strategy induced by a variable assignment.
 
     assignment is indexed by 1-based variable number; truthy means the
-    variable is set to 1.  The spec calls every function symbol whose
+    variable is set to 1.  The strategy calls every function symbol whose
     read would fail outright, plus, in each gadget, the bit symbol the
     assignment rules out.  It wins the from_3sat word exactly when the
     assignment satisfies the formula.
@@ -211,7 +211,7 @@ def assignment_strategy(phi, assignment):
                 reroutes.add((q, x))
     for i in range(1, phi.n_vars + 1):
         reroutes.add((6 * (i - 1), "1" if assignment[i] else "0"))
-    return StronglyRegularSpec(reroutes)
+    return StronglyRegularStrategy(reroutes)
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +328,12 @@ def from_nfa_universality(nfa):
     assert not game.notices, game.notices
 
     run_syms = set(pair_syms.values())
-    a1 = StronglyRegularSpec(
-        (q, x)
-        for q in range(k + 1)
-        for x in game.function_symbols
-        if x not in run_syms
+    pairs = [(q, x) for q in range(k + 1) for x in game.function_symbols]
+    a1 = strongly_regular_automaton(game, [(q, x) for q, x in pairs if x not in run_syms])
+    a2 = strongly_regular_automaton(
+        game, [(q, x) for q, x in pairs if q != f and not (q == 0 and x in ("0", "1"))]
     )
-    a2 = StronglyRegularSpec(
-        (q, x)
-        for q in range(k + 1)
-        for x in game.function_symbols
-        if q != f and not (q == 0 and x in ("0", "1"))
-    )
-    return (
-        game,
-        strongly_regular_automaton(game, a1),
-        strongly_regular_automaton(game, a2),
-    )
+    return game, a1, a2
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,16 @@ class GeneralStrategy:
         )
 
 
+def _forgetful_automaton(game, n_states, transitions, initial, accepting):
+    """History-alphabet automaton from transitions on the plain alphabet;
+    called symbols leave the state unchanged."""
+    transitions = dict(transitions)
+    for q in range(n_states):
+        for a in game.function_symbols:
+            transitions[(q, hat(a))] = q
+    return Dfa(n_states, game.hist_alphabet, transitions, initial, accepting)
+
+
 class ForgetfulStrategy:
     """A strategy that only sees the read symbols of the history.
 
@@ -132,19 +142,8 @@ class ForgetfulStrategy:
                 "strategy alphabet %r does not match the game alphabet %r"
                 % (list(self.dfa.alphabet), list(game.alphabet))
             )
-        transitions = {}
-        for q in range(self.dfa.n_states):
-            for a in game.alphabet:
-                transitions[(q, a)] = self.dfa.transitions[(q, a)]
-            for a in game.function_symbols:
-                transitions[(q, hat(a))] = q
-        return Dfa(
-            self.dfa.n_states,
-            game.hist_alphabet,
-            transitions,
-            self.dfa.initial,
-            self.dfa.accepting,
-        )
+        d = self.dfa
+        return _forgetful_automaton(game, d.n_states, d.transitions, d.initial, d.accepting)
 
     def __eq__(self, other):
         return (
@@ -154,60 +153,64 @@ class ForgetfulStrategy:
         )
 
 
-class StronglyRegularSpec:
-    """Which target transitions a strongly regular strategy reroutes to Call."""
+class StronglyRegularStrategy:
+    """The target automaton with some transitions on function symbols
+    rerouted to a fresh Call state.
+
+    reroutes holds the rerouted (target state, symbol) pairs.  The
+    strategy automaton is forgetful; its states are the target's states
+    plus Call, the only accepting state, which loops on every symbol.
+    """
 
     kind = "strongly-regular"
 
     def __init__(self, reroutes):
         self.reroutes = frozenset((q, a) for q, a in reroutes)
 
+    def check(self, game):
+        n = game.target.n_states
+        for q, a in self.reroutes:
+            if not (isinstance(q, int) and 0 <= q < n):
+                raise StrategyFormatError("reroute state %r out of range" % (q,))
+            if a not in game.rules:
+                raise StrategyFormatError("reroute on non-function symbol %r" % (a,))
+
     def automaton(self, game):
-        return strongly_regular_automaton(game, self).automaton(game)
+        self.check(game)
+        target = game.target
+        call = target.n_states
+        transitions = {(call, a): call for a in game.alphabet}
+        for (q, a), t in target.transitions.items():
+            transitions[(q, a)] = call if (q, a) in self.reroutes else t
+        return _forgetful_automaton(game, call + 1, transitions, target.initial, {call})
 
     def __eq__(self, other):
-        return isinstance(other, StronglyRegularSpec) and other.reroutes == self.reroutes
+        return (
+            isinstance(other, StronglyRegularStrategy)
+            and other.reroutes == self.reroutes
+        )
 
     def __repr__(self):
-        return "StronglyRegularSpec(%r)" % (sorted(self.reroutes),)
+        return "StronglyRegularStrategy(%r)" % (sorted(self.reroutes),)
 
 
-class StronglyRegularStrategy(ForgetfulStrategy):
-    kind = "strongly-regular"
+def strongly_regular_automaton(game, reroutes):
+    """The strongly regular strategy rerouting the given (state, symbol)
+    pairs, checked against the game."""
+    strategy = StronglyRegularStrategy(reroutes)
+    strategy.check(game)
+    return strategy
 
-    def __init__(self, dfa, reroutes):
-        ForgetfulStrategy.__init__(self, dfa)
-        self.reroutes = frozenset(reroutes)
 
-
-def strongly_regular_automaton(game, spec):
-    """Build the strategy automaton of a strongly regular strategy.
-
-    The result is a forgetful automaton whose states are the target's
-    states plus one Call state; rerouted transitions point at Call, which
-    is the only accepting state.
-    """
-    reroutes = spec.reroutes if isinstance(spec, StronglyRegularSpec) else None
-    if reroutes is None:
-        reroutes = frozenset((q, a) for q, a in spec)
-    n = game.target.n_states
-    for q, a in reroutes:
-        if not (isinstance(q, int) and 0 <= q < n):
-            raise StrategyFormatError("reroute state %r out of range" % (q,))
-        if a not in game.rules:
-            raise StrategyFormatError("reroute on non-function symbol %r" % (a,))
-    call = n
-    transitions = {}
-    for q in range(n):
-        for a in game.alphabet:
-            if (q, a) in reroutes:
-                transitions[(q, a)] = call
-            else:
-                transitions[(q, a)] = game.target.transitions[(q, a)]
-    for a in game.alphabet:
-        transitions[(call, a)] = call
-    dfa = Dfa(n + 1, game.alphabet, transitions, game.target.initial, {call})
-    return StronglyRegularStrategy(dfa, reroutes)
+def strategy_automaton(game, strategy):
+    """The history-alphabet automaton of a strategy object or of a Dfa."""
+    if isinstance(strategy, Dfa):
+        strategy = GeneralStrategy(strategy)
+    if not hasattr(strategy, "automaton"):
+        raise StrategyFormatError(
+            "need a strategy object or automaton, got %r" % type(strategy).__name__
+        )
+    return strategy.automaton(game)
 
 
 def read_all_strategy(game):
@@ -236,12 +239,18 @@ def strategy_from_dict(data):
         raise StrategyFormatError("strategy description must be a JSON object")
     kind = data.get("kind")
     if kind == "strongly-regular":
-        reroutes = []
-        for entry in data.get("reroutes", ()):
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+        reroutes = data.get("reroutes", [])
+        if not isinstance(reroutes, list):
+            raise StrategyFormatError("reroutes must be a list, got %r" % (reroutes,))
+        for entry in reroutes:
+            if not (
+                isinstance(entry, (list, tuple))
+                and len(entry) == 2
+                and isinstance(entry[0], int)
+                and isinstance(entry[1], str)
+            ):
                 raise StrategyFormatError("bad reroute entry %r" % (entry,))
-            reroutes.append((entry[0], entry[1]))
-        return StronglyRegularSpec(reroutes)
+        return StronglyRegularStrategy(reroutes)
     if kind in ("general", "forgetful"):
         if "automaton" not in data:
             raise StrategyFormatError("strategy is missing its automaton")
@@ -339,12 +348,7 @@ def run_play(game, sigma, tau, word, step_limit=10000):
     """
     if step_limit < 1:
         raise ValueError("step_limit must be at least 1")
-    if hasattr(sigma, "automaton"):
-        dfa = sigma.automaton(game)
-    elif isinstance(sigma, Dfa):
-        dfa = GeneralStrategy(sigma).automaton(game)
-    else:
-        dfa = None
+    dfa = None if callable(sigma) else strategy_automaton(game, sigma)
     for a in word:
         if a not in game.alphabet:
             raise PlayProtocolError("input symbol %r is not in the alphabet" % (a,))
@@ -419,10 +423,7 @@ def brute_force_outcome(game, sigma, word):
         a: enumerate_upto(game.replacement_dfa(a), game.replacement_dfa(a).n_states)
         for a in game.function_symbols
     }
-    dfa = sigma.automaton(game) if hasattr(sigma, "automaton") else sigma
-    if not isinstance(dfa, Dfa):
-        raise TypeError("brute_force_outcome needs an automaton strategy")
-    dfa = GeneralStrategy(dfa).automaton(game)
+    dfa = strategy_automaton(game, sigma)
     target = game.target
     memo = {}
 

@@ -48,9 +48,7 @@ def ast_language(node, max_len):
     raise ValueError("bad AST node %r" % (node,))
 
 
-def nerode_is_minimal(dfa):
-    """Table-filling check that a total DFA is minimal: all states reachable
-    and pairwise distinguishable."""
+def reachable_states(dfa):
     reachable = {dfa.initial}
     frontier = [dfa.initial]
     while frontier:
@@ -60,6 +58,79 @@ def nerode_is_minimal(dfa):
             if t not in reachable:
                 reachable.add(t)
                 frontier.append(t)
+    return reachable
+
+
+def live_states(dfa):
+    """States of a total DFA that reach acceptance, grown to a fixpoint by
+    sweeping the transition table."""
+    live = set(dfa.accepting)
+    changed = True
+    while changed:
+        changed = False
+        for (q, _), t in dfa.transitions.items():
+            if t in live and q not in live:
+                live.add(q)
+                changed = True
+    return live
+
+
+def finite_language(dfa):
+    """Every accepted word of a total DFA in shortlex order, or None when
+    the language is infinite.  A live path as long as the state count
+    repeats a state, so it can be pumped."""
+    live = live_states(dfa)
+    words = []
+    layer = [((), dfa.initial)] if dfa.initial in live else []
+    for _ in range(dfa.n_states):
+        deeper = []
+        for word, q in layer:
+            if q in dfa.accepting:
+                words.append(word)
+            for a in dfa.alphabet:
+                t = dfa.transitions[(q, a)]
+                if t in live:
+                    deeper.append((word + (a,), t))
+        layer = deeper
+    return None if layer else words
+
+
+def dfa_prefix_free(dfa):
+    """No accepted word is a proper prefix of another: no reachable
+    accepting state steps into a live state."""
+    live = live_states(dfa)
+    return not any(
+        dfa.transitions[(f, a)] in live
+        for f in dfa.accepting & reachable_states(dfa)
+        for a in dfa.alphabet
+    )
+
+
+def sreg_automaton_by_lifting(game, reroutes):
+    """Strongly regular strategy automaton built in two steps: the target
+    with rerouted transitions sent to a Call state, over the plain
+    alphabet, then lifted to the history alphabet by letting called
+    symbols loop."""
+    from cfgame.automata import Dfa
+    from cfgame.games import hat
+
+    call = game.target.n_states
+    plain = {(call, a): call for a in game.alphabet}
+    for q in range(call):
+        for a in game.alphabet:
+            rerouted = (q, a) in reroutes
+            plain[(q, a)] = call if rerouted else game.target.transitions[(q, a)]
+    lifted = dict(plain)
+    for q in range(call + 1):
+        for a in game.function_symbols:
+            lifted[(q, hat(a))] = q
+    return Dfa(call + 1, game.hist_alphabet, lifted, game.target.initial, {call})
+
+
+def nerode_is_minimal(dfa):
+    """Table-filling check that a total DFA is minimal: all states reachable
+    and pairwise distinguishable."""
+    reachable = reachable_states(dfa)
     if len(reachable) != dfa.n_states:
         return False
     states = sorted(reachable)
@@ -125,7 +196,6 @@ def brute_force_effects(game, strategy):
     the (state index, symbol) contexts from which handling can go on
     forever.
     """
-    from cfgame.automata import enumerate_upto, language_is_finite
     from cfgame.games import hat
 
     dfa = strategy.automaton(game)
@@ -133,8 +203,8 @@ def brute_force_effects(game, strategy):
     replies = {}
     for a in game.function_symbols:
         rdfa = game.replacement_dfa(a)
-        assert language_is_finite(rdfa)
-        replies[a] = list(enumerate_upto(rdfa, rdfa.n_states))
+        replies[a] = finite_language(rdfa)
+        assert replies[a] is not None
 
     def calls(p, a):
         return a in game.rules and dfa.transitions[(p, a)] in dfa.accepting
@@ -420,13 +490,10 @@ def best_one_pass_win_set(game, max_word_len, history_bound, node_budget=2000000
     Needs prefix-free rules so that reply completion is unambiguous
     while scanning.
     """
-    from cfgame.automata import coaccessible_states
-    from cfgame.games import classify
-
-    assert classify(game).prefix_free
     target = game.target
     rdfas = {a: game.replacement_dfa(a) for a in game.function_symbols}
-    lives = {a: coaccessible_states(rdfas[a]) for a in game.function_symbols}
+    assert all(dfa_prefix_free(rdfa) for rdfa in rdfas.values())
+    lives = {a: live_states(rdfas[a]) for a in game.function_symbols}
 
     reach_memo = {}
 

@@ -39,7 +39,12 @@ from cfgame.play import (
     read_all_strategy,
     strongly_regular_automaton,
 )
-from oracles import EagerRelations, brute_force_effects, words_upto
+from oracles import (
+    EagerRelations,
+    brute_force_effects,
+    sreg_automaton_by_lifting,
+    words_upto,
+)
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -310,6 +315,20 @@ def random_strategies(draw, game):
     accepting = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n))
     dfa = Dfa(n, sigma_alphabet, transitions, 0, accepting)
     return GeneralStrategy(dfa) if kind == "general" else ForgetfulStrategy(dfa)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_sreg_automaton_matches_lifted_construction(data):
+    game = data.draw(st.one_of(small_finite_games(), small_regex_games()))
+    pairs = [
+        (q, a)
+        for q in range(game.target.n_states)
+        for a in game.function_symbols
+    ]
+    reroutes = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    strategy = strongly_regular_automaton(game, reroutes)
+    assert strategy.automaton(game) == sreg_automaton_by_lifting(game, reroutes)
 
 
 @settings(deadline=None, max_examples=60)

@@ -6,6 +6,7 @@ from cfgame.automata import (
     Nfa,
     RegexSyntaxError,
     all_words_upto,
+    coaccessible_states,
     compare_shortlex,
     complement,
     determinize,
@@ -35,6 +36,9 @@ from oracles import (
     brute_language,
     brute_min_symdiff,
     brute_prefix_violation,
+    dfa_prefix_free,
+    finite_language,
+    live_states,
     nerode_is_minimal,
     words_upto,
 )
@@ -287,6 +291,35 @@ def test_is_prefix_free(dfa):
         assert v
         assert dfa.accepts(u)
         assert dfa.accepts(u + v)
+        # both parts are the shortlex least candidates
+        extensions = words_upto(ALPHABET, dfa.n_states)[1:]
+        assert u == next(
+            w
+            for w in words_upto(ALPHABET, dfa.n_states)
+            if dfa.accepts(w) and any(dfa.accepts(w + x) for x in extensions)
+        )
+        assert v == next(x for x in extensions if dfa.accepts(u + x))
+
+
+@given(dfas())
+def test_closure_and_finiteness_match_oracles(dfa):
+    assert coaccessible_states(dfa) == live_states(dfa)
+    words = finite_language(dfa)
+    assert language_is_finite(dfa) == (words is not None)
+    if words is not None:
+        assert enumerate_upto(dfa, dfa.n_states) == words
+    assert is_prefix_free(dfa)[0] == dfa_prefix_free(dfa)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_language_is_finite_long_chain(cyclic):
+    # 3,000 states in a row: a recursive search would overflow the stack
+    n = 3000
+    transitions = {(q, a): min(q + 1, n - 1) for q in range(n) for a in ALPHABET}
+    if cyclic:
+        transitions[(n - 1, ALPHABET[0])] = 0
+    dfa = Dfa(n, ALPHABET, transitions, 0, {n - 2})
+    assert language_is_finite(dfa) == (not cyclic)
 
 
 @given(dfas(), st.integers(0, 4))

@@ -478,6 +478,135 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+ONE_STATE_GAME = {
+    "alphabet": ["a", "b"],
+    "rules": {"a": "b"},
+    "target": {
+        "states": 1,
+        "initial": 0,
+        "accepting": [0],
+        "transitions": [[0, "a", 0], [0, "b", 0]],
+    },
+}
+
+# name -> (arguments, input files); every file parses as JSON
+MALFORMED_INPUTS = {
+    "game-transitions": (
+        ["classify", "game.json"],
+        {
+            "game.json": dict(
+                ONE_STATE_GAME, target=dict(ONE_STATE_GAME["target"], transitions=5)
+            )
+        },
+    ),
+    "strategy-transitions": (
+        ["validate", "game.json", "--strategy", "sigma.json"],
+        {
+            "game.json": ONE_STATE_GAME,
+            "sigma.json": {
+                "kind": "general",
+                "automaton": {
+                    "alphabet": ["a", "b", "^a"],
+                    "states": 1,
+                    "initial": 0,
+                    "accepting": [],
+                    "transitions": 5,
+                },
+            },
+        },
+    ),
+    "online-transitions": (
+        ["online-prune", "instance.json"],
+        {
+            "instance.json": {
+                "alphabet": ["a"],
+                "states": 1,
+                "initial": 0,
+                "accepting": [0],
+                "transitions": 5,
+            }
+        },
+    ),
+    "reroutes": (
+        ["validate", "game.json", "--strategy", "sigma.json"],
+        {
+            "game.json": ONE_STATE_GAME,
+            "sigma.json": {"kind": "strongly-regular", "reroutes": 5},
+        },
+    ),
+    "rule-value": (
+        ["classify", "game.json"],
+        {"game.json": dict(ONE_STATE_GAME, rules={"a": 5})},
+    ),
+    "deep-rule": (
+        ["classify", "game.json"],
+        {"game.json": dict(ONE_STATE_GAME, rules={"a": "b" * 2000})},
+    ),
+    "unhashable-transition": (
+        ["classify", "game.json"],
+        {
+            "game.json": dict(
+                ONE_STATE_GAME,
+                target=dict(ONE_STATE_GAME["target"], transitions=[[[0], "a", 0]]),
+            )
+        },
+    ),
+    "strategy-states": (
+        ["validate", "game.json", "--strategy", "sigma.json"],
+        {
+            "game.json": ONE_STATE_GAME,
+            "sigma.json": {
+                "kind": "forgetful",
+                "automaton": {
+                    "alphabet": ["a", "b"],
+                    "states": "one",
+                    "initial": 0,
+                    "accepting": [],
+                    "transitions": [[0, "a", 0], [0, "b", 0]],
+                },
+            },
+        },
+    ),
+    "online-states": (
+        ["online-prune", "instance.json"],
+        {
+            "instance.json": {
+                "alphabet": ["a"],
+                "states": "one",
+                "initial": 0,
+                "accepting": [0],
+                "transitions": [[0, "a", 0]],
+            }
+        },
+    ),
+    "unhashable-reroute": (
+        ["validate", "game.json", "--strategy", "sigma.json"],
+        {
+            "game.json": ONE_STATE_GAME,
+            "sigma.json": {"kind": "strongly-regular", "reroutes": [[[0], "a"]]},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_without_traceback(case, tmp_path):
+    argv, files = MALFORMED_INPUTS[case]
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfgame", "--json", *argv],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env=package_env(),
+        timeout=120,
+    )
+    assert proc.returncode in (2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["exit"] == proc.returncode
+
+
 def test_bad_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])

@@ -1,0 +1,183 @@
+"""Digests of serialized output, pinned so that refactoring the automaton
+layer cannot change a byte of what the library writes.
+
+Each case hashes the game file, the class report, the JSON form of every
+automaton the game and its strategies give rise to (target, rule DFAs and
+NFAs, strategy automata, losing NFAs), the strategy files and the
+prefix-freeness witnesses.  Cases are the fixtures and random_game seeds
+0-49 under two parameter sets.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cfgame.analysis import losing_nfa
+from cfgame.automata import dfa_to_dict, is_prefix_free, nfa_to_dict, regex_to_nfa
+from cfgame.fixtures import fixture, fixture_names
+from cfgame.games import classify, dump_game
+from cfgame.generators import random_game
+from cfgame.play import dump_strategy, strongly_regular_automaton
+
+RANDOM_PARAMS = {
+    "plain": {},
+    "pf": {"constraints": ["prefix_free", "non_recursive"], "target_states": 4},
+}
+
+
+def _texts(game, strategies):
+    yield dump_game(game)
+    yield json.dumps(classify(game).as_dict())
+    yield json.dumps(dfa_to_dict(game.target))
+    for a in game.function_symbols:
+        yield json.dumps(dfa_to_dict(game.replacement_dfa(a)))
+        yield json.dumps(nfa_to_dict(regex_to_nfa(game.rules[a], game.alphabet)))
+        yield repr(is_prefix_free(game.replacement_dfa(a)))
+    for name in sorted(strategies):
+        strategy = strategies[name]
+        yield name
+        yield dump_strategy(strategy)
+        yield json.dumps(dfa_to_dict(strategy.automaton(game)))
+        yield json.dumps(nfa_to_dict(losing_nfa(game, strategy)))
+
+
+def _case(case):
+    kind, _, rest = case.partition(":")
+    if kind == "fixture":
+        fx = fixture(rest)
+        return fx.game, fx.strategies
+    label, seed = rest.split("/")
+    game = random_game(RANDOM_PARAMS[label], int(seed))
+    pairs = [
+        (q, a)
+        for q in range(game.target.n_states)
+        for a in game.function_symbols
+    ]
+    return game, {"sreg": strongly_regular_automaton(game, pairs[int(seed) % 2::2])}
+
+
+def case_digest(case):
+    digest = hashlib.sha256()
+    for text in _texts(*_case(case)):
+        digest.update(text.encode("utf-8") + b"\0")
+    return digest.hexdigest()[:16]
+
+
+CASES = ["fixture:%s" % name for name in fixture_names()] + [
+    "random:%s/%d" % (label, seed) for label in RANDOM_PARAMS for seed in range(50)
+]
+
+# recorded before the automaton routines and the strategy types were merged
+GOLDEN = {
+    "fixture:g1-recursive": "ef3b596cf393bb86",
+    "fixture:g1c-undominated": "a456b4dbe496e8fb",
+    "fixture:g2-regular-not-sreg": "1617641fb195c474",
+    "fixture:g2c-undominated": "114145e00730ebbf",
+    "fixture:sandbox": "cb1aaea4b0f5dc60",
+    "random:plain/0": "a4f1a9550c6da6ac",
+    "random:plain/1": "3317c3e94493e883",
+    "random:plain/2": "b71bc6a95532e629",
+    "random:plain/3": "edeec8aec85a2bbd",
+    "random:plain/4": "12499a137c24b6b0",
+    "random:plain/5": "16ce1ff96af7a860",
+    "random:plain/6": "70305c80dc03e5b7",
+    "random:plain/7": "5b1699c32d58e4d9",
+    "random:plain/8": "9432264d91876e99",
+    "random:plain/9": "cf743913c5baf64a",
+    "random:plain/10": "65aca950b568fd66",
+    "random:plain/11": "6243d7b48f7addb5",
+    "random:plain/12": "05a64a04b8f02f10",
+    "random:plain/13": "bc3a57189535239c",
+    "random:plain/14": "2c34c654893635dd",
+    "random:plain/15": "bd4652594536a581",
+    "random:plain/16": "13bd35ece000c4f0",
+    "random:plain/17": "2f76ce0bd7a72e00",
+    "random:plain/18": "ca53f951bfb03d7b",
+    "random:plain/19": "3db4cf875a4d05db",
+    "random:plain/20": "2d879e631c87a4d4",
+    "random:plain/21": "d4d1b6ef203e9333",
+    "random:plain/22": "56227bcf79fbda1d",
+    "random:plain/23": "6a2928a74cadc177",
+    "random:plain/24": "009f0c5d5dbcf990",
+    "random:plain/25": "0f08655f2eb6f7fb",
+    "random:plain/26": "0ed3ed2167050969",
+    "random:plain/27": "b7cfe39ad5766fbb",
+    "random:plain/28": "2460cfacf6da7368",
+    "random:plain/29": "924ae3edfef900e5",
+    "random:plain/30": "decbf7707ca0ae64",
+    "random:plain/31": "3ea0052250c3aab1",
+    "random:plain/32": "5715a261ec187307",
+    "random:plain/33": "bf32e96f6820c65a",
+    "random:plain/34": "9ff8dcc5224ac298",
+    "random:plain/35": "8a748d7ab83a2eed",
+    "random:plain/36": "c345c4f9619e7788",
+    "random:plain/37": "87f3b14a46b94658",
+    "random:plain/38": "84a776bebe4ff079",
+    "random:plain/39": "8205638c5ba90dc0",
+    "random:plain/40": "de9fb09ba961a03d",
+    "random:plain/41": "88af7a07a11b26fe",
+    "random:plain/42": "5e214892ac5a157e",
+    "random:plain/43": "5211b47f3145f40f",
+    "random:plain/44": "c4bacfaa5746856f",
+    "random:plain/45": "a2c78280cc14e11f",
+    "random:plain/46": "a6cfb149b4eed9c8",
+    "random:plain/47": "207cd5849294fcd2",
+    "random:plain/48": "7500f2561a6f7783",
+    "random:plain/49": "551fc2ed4c002b27",
+    "random:pf/0": "8cb4e893dbbd0523",
+    "random:pf/1": "0edafc2ecc1915e4",
+    "random:pf/2": "7debd7c97fbc0a41",
+    "random:pf/3": "f1e2f31431cc775a",
+    "random:pf/4": "92635fe7f48df792",
+    "random:pf/5": "716bd99194935289",
+    "random:pf/6": "dd48512064c2cd75",
+    "random:pf/7": "0e7979ae53595157",
+    "random:pf/8": "f7a36f9fb8c48ebd",
+    "random:pf/9": "a62bd7a7ab96bfca",
+    "random:pf/10": "56914e739de1da48",
+    "random:pf/11": "fb3ba1b46285e5db",
+    "random:pf/12": "e3f48e8d23b1f901",
+    "random:pf/13": "7233fe54326f0868",
+    "random:pf/14": "e0a9173cacb8e9db",
+    "random:pf/15": "54cddb95c9c79604",
+    "random:pf/16": "011856335689132d",
+    "random:pf/17": "22e17a92467c2ab4",
+    "random:pf/18": "832cbb224fe5ca9f",
+    "random:pf/19": "5ec6ec706d415e59",
+    "random:pf/20": "2eb7828203a6a2d1",
+    "random:pf/21": "579bb65b2926168f",
+    "random:pf/22": "2077c6a1914a964e",
+    "random:pf/23": "f49979ea486c3cc0",
+    "random:pf/24": "1e7deff72a203177",
+    "random:pf/25": "026c00fef7d77ed9",
+    "random:pf/26": "3d313f4ba4bd87fe",
+    "random:pf/27": "f50c458dc1fcc743",
+    "random:pf/28": "cff0b4a167acd49d",
+    "random:pf/29": "26af958ca038c99d",
+    "random:pf/30": "77ad69df403ee964",
+    "random:pf/31": "9adba3b35bc57db0",
+    "random:pf/32": "3d50954a9177f9da",
+    "random:pf/33": "dc1e4e8fea1451dd",
+    "random:pf/34": "3ba02253f78c3993",
+    "random:pf/35": "3f7fe47f3dad261d",
+    "random:pf/36": "7b806506209bae1c",
+    "random:pf/37": "0b2dbb073e53da4d",
+    "random:pf/38": "3bcdfaa10686f461",
+    "random:pf/39": "199fc72df49d9e54",
+    "random:pf/40": "f5fb9b6849ce4009",
+    "random:pf/41": "3daeac7620c7e8fd",
+    "random:pf/42": "05a62c7749584858",
+    "random:pf/43": "7174a68fbbddd303",
+    "random:pf/44": "04e299f5ef54969e",
+    "random:pf/45": "32eb0f06a8f2f400",
+    "random:pf/46": "de75a2d8c12d3915",
+    "random:pf/47": "871fbb62b9dd9313",
+    "random:pf/48": "6ca86213e991e07a",
+    "random:pf/49": "db327fe709055647",
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_output_digest_golden(case):
+    assert case_digest(case) == GOLDEN[case]

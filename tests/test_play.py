@@ -16,7 +16,7 @@ from cfgame.play import (
     GeneralStrategy,
     PlayProtocolError,
     StrategyFormatError,
-    StronglyRegularSpec,
+    StronglyRegularStrategy,
     brute_force_outcome,
     constant_romeo,
     dump_strategy,
@@ -169,7 +169,7 @@ def test_strongly_regular_object_on_g2():
     fx = fixture("g2-regular-not-sreg")
     strategy = strongly_regular_automaton(fx.game, [(0, "c"), (0, "a"), (1, "d")])
     assert strategy.kind == "strongly-regular"
-    assert strategy.dfa.n_states == 4
+    assert strategy.automaton(fx.game).n_states == 4
     assert strategy.reroutes == frozenset({(0, "c"), (0, "a"), (1, "d")})
 
 
@@ -221,11 +221,19 @@ def test_strategy_round_trips():
     for strategy in (
         sandbox.strategies["call-initial-a"],
         g2c.strategies["forgetful-optimal"],
-        StronglyRegularSpec([(0, "a"), (2, "b")]),
+        StronglyRegularStrategy([(0, "a"), (2, "b")]),
     ):
         again = load_strategy(dump_strategy(strategy))
         assert again == strategy
         assert strategy_from_dict(strategy_to_dict(strategy)) == strategy
+
+
+def test_strongly_regular_strategy_round_trips():
+    fx = fixture("g2-regular-not-sreg")
+    strategy = strongly_regular_automaton(fx.game, [(0, "c"), (0, "a"), (1, "d")])
+    again = load_strategy(dump_strategy(strategy))
+    assert again == strategy
+    assert again.automaton(fx.game) == strategy.automaton(fx.game)
 
 
 def test_strategy_format_errors():
