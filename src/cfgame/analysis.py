@@ -372,48 +372,36 @@ def is_dominated(game, first, second):
     return witness is None, witness
 
 
-def exists_winning_sreg(game, word, mode="auto", budget=2 ** 20):
+def exists_winning_sreg(game, word, mode="dfs", budget=2 ** 20):
     """Search for a strongly regular strategy winning the given word.
 
-    Returns the strategy, or None when no reroute set wins.  Modes:
-    "exhaustive" tries reroute sets in bitmask order, "incremental" by
-    size first, "dfs" branches only on the reroute decisions that plays
-    actually run into, "auto" picks exhaustive when the whole space fits
-    into the budget and dfs otherwise.  Raises BudgetExceeded when the
-    exhaustive space, or the number of dfs nodes, exceeds the budget.
+    Returns the strategy, or None when no reroute set wins.  Modes: "dfs"
+    branches only on the reroute decisions that plays actually run into
+    and raises BudgetExceeded past budget search nodes; "incremental"
+    tries reroute sets by size first, so it returns a smallest winning
+    set, and raises BudgetExceeded when the 2^k reroute sets exceed the
+    budget.
     """
     _check_word(game, word)
+    if mode == "dfs":
+        return _dfs_sreg(game, word, budget)
+    if mode != "incremental":
+        raise ValueError("unknown mode %r" % (mode,))
     pairs = [
         (q, a)
         for q in range(game.target.n_states)
         for a in game.function_symbols
     ]
     k = len(pairs)
-    if mode == "auto":
-        mode = "exhaustive" if 2 ** k <= budget else "dfs"
-    if mode == "dfs":
-        return _dfs_sreg(game, word, budget)
-    if mode not in ("exhaustive", "incremental"):
-        raise ValueError("unknown mode %r" % (mode,))
     if 2 ** k > budget:
         raise BudgetExceeded(
             "2^%d reroute sets exceed the budget of %d" % (k, budget)
         )
-    if mode == "exhaustive":
-        candidates = (
-            [pairs[b] for b in range(k) if mask >> b & 1]
-            for mask in range(2 ** k)
-        )
-    else:
-        candidates = (
-            [pairs[b] for b in combo]
-            for size in range(k + 1)
-            for combo in itertools.combinations(range(k), size)
-        )
-    for reroutes in candidates:
-        strategy = strongly_regular_automaton(game, reroutes)
-        if is_winning(game, strategy, word):
-            return strategy
+    for size in range(k + 1):
+        for reroutes in itertools.combinations(pairs, size):
+            strategy = strongly_regular_automaton(game, reroutes)
+            if is_winning(game, strategy, word):
+                return strategy
     return None
 
 

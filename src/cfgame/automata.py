@@ -738,11 +738,15 @@ def dfa_from_dict(data):
             raise ValueError("duplicate transition for state %r on %r" % (q, a))
         transitions[(q, a)] = t
     try:
-        return Dfa(
+        dfa = Dfa(
             data["states"], data["alphabet"], transitions, data["initial"], data["accepting"]
         )
     except TypeError as exc:
         raise ValueError(str(exc)) from None
+    for t in transitions.values():
+        if not (isinstance(t, int) and 0 <= t < dfa.n_states):
+            raise ValueError("transition target %r out of range" % (t,))
+    return dfa
 
 
 def nfa_to_dict(nfa):

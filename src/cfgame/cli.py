@@ -246,6 +246,8 @@ def cmd_play(args):
     game, fx = _load_game_arg(args.game)
     strategy, label = _load_strategy_arg(args.strategy, game, fx)
     word = _parse_word_arg(args.word, game)
+    if args.steps < 1:
+        raise CliError("--steps must be at least 1, got %d" % args.steps)
     if args.interactive:
         tau = _interactive_romeo(game)
     else:
@@ -598,14 +600,15 @@ def build_parser():
     p.add_argument("--word", required=True)
     p.add_argument(
         "--mode",
-        default="auto",
-        choices=["auto", "exhaustive", "incremental", "dfs"],
+        default="dfs",
+        choices=["dfs", "incremental"],
+        help="dfs (default) or incremental, which finds a smallest reroute set",
     )
     p.add_argument(
         "--budget",
         type=int,
         default=2 ** 20,
-        help="most reroute sets (exhaustive, incremental) or search nodes (dfs)",
+        help="most search nodes (dfs) or reroute sets (incremental)",
     )
     p.add_argument("--out", help="write the found strategy here")
     p.set_defaults(func=cmd_exists_winning)

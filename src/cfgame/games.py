@@ -251,6 +251,8 @@ def game_from_dict(data):
             raise GameFormatError("rule for %r must be a string, got %r" % (sym, rx))
     if not isinstance(data["target"], dict):
         raise GameFormatError("target must be an object")
+    if not isinstance(data.get("name"), (str, type(None))):
+        raise GameFormatError("name must be a string or null, got %r" % (data["name"],))
     try:
         dfa = dfa_from_dict(dict(data["target"], alphabet=data["alphabet"]))
     except ValueError as exc:

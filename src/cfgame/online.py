@@ -9,7 +9,6 @@ sub-automaton that is a weakly dominant way of playing.
 
 import json
 
-from .analysis import BudgetExceeded
 from .automata import (
     Dfa,
     Nfa,
@@ -204,91 +203,3 @@ def diagnose_bounded(inst, bound):
                 % (key[0], key[1], sorted(transitions[key]), sorted(full[key]))
             )
     return messages
-
-
-def _check_sub_automaton(inst, dfa):
-    nfa = inst.nfa
-    if dfa.alphabet != nfa.alphabet:
-        raise OnlineFormatError("strategy alphabet differs from the instance")
-    if dfa.n_states != nfa.n_states or dfa.initial != inst.initial:
-        raise OnlineFormatError("strategy states do not match the instance")
-    if dfa.accepting != nfa.accepting:
-        raise OnlineFormatError("strategy accepting set differs from the instance")
-    for (q, a), t in dfa.transitions.items():
-        if t not in nfa.transitions.get((q, a), ()):
-            raise OnlineFormatError(
-                "strategy transition %r -%r-> %r is not in the instance" % (q, a, t)
-            )
-
-
-def online_win_set(inst, strat, max_len):
-    """Shortlex-ordered list of words of length <= max_len the strategy wins.
-
-    strat is either a deterministic sub-automaton of the instance or a
-    table mapping each prefix up to max_len to the state chosen there.
-    """
-    inst = _as_instance(inst)
-    if isinstance(strat, Dfa):
-        _check_sub_automaton(inst, strat)
-        return list(enumerate_upto(strat, max_len))
-    table = strat
-    if table.get(()) != inst.initial:
-        raise OnlineFormatError("table strategy must start at the initial state")
-    out = []
-    frontier = [()]
-    for n in range(max_len + 1):
-        deeper = []
-        for w in frontier:
-            state = table.get(w)
-            if state is None:
-                raise OnlineFormatError("table strategy is missing %r" % (w,))
-            if w:
-                prev = table[w[:-1]]
-                if state not in inst.nfa.transitions.get((prev, w[-1]), ()):
-                    raise OnlineFormatError(
-                        "table moves %r -%r-> %r outside the instance"
-                        % (prev, w[-1], state)
-                    )
-            if state in inst.nfa.accepting:
-                out.append(w)
-            if n < max_len:
-                deeper.extend(w + (a,) for a in inst.alphabet)
-        frontier = deeper
-    return out
-
-
-def brute_force_best_online(inst, max_len, budget=200000):
-    """The shortlex-greatest achievable win set up to max_len.
-
-    Straight dynamic program over (state, remaining length): the player
-    sees the next letter before choosing a transition, so maximizing
-    every letter branch on its own maximizes the whole set.
-    """
-    inst = _as_instance(inst)
-    nfa = inst.nfa
-    if len(nfa.alphabet) ** max_len > budget:
-        raise BudgetExceeded(
-            "%d^%d prefixes exceed the budget of %d"
-            % (len(nfa.alphabet), max_len, budget)
-        )
-    best = {}
-    for q in range(nfa.n_states):
-        best[(q, 0)] = frozenset([()]) if q in nfa.accepting else frozenset()
-    for d in range(1, max_len + 1):
-        for q in range(nfa.n_states):
-            words = set(best[(q, 0)])
-            for a in nfa.alphabet:
-                choice = None
-                for p in sorted(nfa.transitions[(q, a)]):
-                    if choice is None:
-                        choice = p
-                    elif (
-                        _finite_set_cmp(
-                            best[(p, d - 1)], best[(choice, d - 1)], nfa.alphabet
-                        )
-                        > 0
-                    ):
-                        choice = p
-                words.update((a,) + w for w in best[(choice, d - 1)])
-            best[(q, d)] = frozenset(words)
-    return set(best[(inst.initial, max_len)])

@@ -23,8 +23,6 @@ from .automata import (
     Dfa,
     dfa_from_dict,
     dfa_to_dict,
-    enumerate_upto,
-    language_is_finite,
     shortlex_min_word,
 )
 from .games import flatten_history, hat
@@ -42,11 +40,6 @@ class StrategyFormatError(ValueError):
 WIN_JULIET = "WinJuliet"
 WIN_ROMEO = "WinRomeo"
 TRUNCATED = "Truncated"
-
-# Verdicts of brute_force_outcome.
-WIN = "Win"
-LOSE = "Lose"
-DIVERGE = "RomeoCanForceInfinite"
 
 
 class Play:
@@ -397,83 +390,3 @@ def run_play(game, sigma, tau, word, step_limit=10000):
         final = flatten_history(history)
         outcome = WIN_JULIET if game.target.accepts(final) else WIN_ROMEO
     return Play(configurations, outcome, depth)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force game-tree verdicts, for games whose replacement languages are
-# all finite.  Used as an independent oracle by the analysis machinery.
-
-
-def brute_force_outcome(game, sigma, word):
-    """Explore every Romeo reply and classify the word.
-
-    Win: every play ends in the target language.  Lose: Romeo can reach
-    a finished play outside it.  RomeoCanForceInfinite: Romeo can keep
-    the play going forever, detected by a repeated (strategy state,
-    called symbol) pair on the call nesting stack.  Verdicts of Lose and
-    RomeoCanForceInfinite can both be true of a word; Lose takes
-    precedence.
-    """
-    for a in game.function_symbols:
-        if not language_is_finite(game.replacement_dfa(a)):
-            raise ValueError(
-                "replacement language of %r is infinite, out of oracle scope" % (a,)
-            )
-    replies = {
-        a: enumerate_upto(game.replacement_dfa(a), game.replacement_dfa(a).n_states)
-        for a in game.function_symbols
-    }
-    dfa = strategy_automaton(game, sigma)
-    target = game.target
-    memo = {}
-
-    def sub_play(p, q, symbol, stack):
-        """Endpoints and divergence of the sub-play on one symbol.
-
-        Returns (endpoints, can_diverge): all (strategy state, target
-        state) pairs some finished sub-play can end in, and whether Romeo
-        can make the sub-play go on forever.
-        """
-        if not _call_decision(game, dfa, p, symbol):
-            return (
-                frozenset({(dfa.transitions[(p, symbol)], target.transitions[(q, symbol)])}),
-                False,
-            )
-        if (p, symbol) in stack:
-            return frozenset(), True
-        key = (p, q, symbol, stack)
-        if key in memo:
-            return memo[key]
-        inner = stack | {(p, symbol)}
-        endpoints = set()
-        diverge = False
-        for reply in replies[symbol]:
-            current = {(dfa.transitions[(p, hat(symbol))], q)}
-            for c in reply:
-                step = set()
-                for pp, qq in current:
-                    ends, div = sub_play(pp, qq, c, inner)
-                    step |= ends
-                    diverge = diverge or div
-                current = step
-                if not current:
-                    break
-            endpoints |= current
-        result = (frozenset(endpoints), diverge)
-        memo[key] = result
-        return result
-
-    reachable = {(dfa.initial, target.initial)}
-    can_diverge = False
-    for symbol in word:
-        step = set()
-        for p, q in reachable:
-            ends, div = sub_play(p, q, symbol, frozenset())
-            step |= ends
-            can_diverge = can_diverge or div
-        reachable = step
-    if any(q not in target.accepting for _, q in reachable):
-        return LOSE
-    if can_diverge:
-        return DIVERGE
-    return WIN

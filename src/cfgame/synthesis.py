@@ -55,7 +55,6 @@ class EffectSet:
         self.stored = {}    # (p, a) -> [frozenset, ...] in admission order
         self.stratum = {}   # (p, a, frozenset) -> int
         self.choice = {}    # (p, a, frozenset) -> scan choice map
-        self.inducing = {}  # (p, a, frozenset) -> InducingAutomaton
 
     def triples(self):
         out = []
@@ -105,14 +104,6 @@ def _winning_scan(game, effects, p, a, target_states, below):
     if rdfa.initial not in live:
         return None
     start = (frozenset([p]), rdfa.initial)
-
-    def successors(members, c):
-        seen = set()
-        opts = [effects.options(q, c, below=below) for q in sorted(members)]
-        for combo in iter_product(*opts):
-            seen.add(frozenset().union(*combo))
-        return seen
-
     states = {start}
     queue = deque([start])
     edges = {}
@@ -128,7 +119,7 @@ def _winning_scan(game, effects, p, a, target_states, below):
             y2 = rdfa.transitions[(y, c)]
             if y2 not in live:
                 continue
-            for u in successors(members, c):
+            for u in _pointwise_successors(effects, members, c, below):
                 edges.setdefault((members, y), {}).setdefault(c, set()).add(u)
                 nxt = (u, y2)
                 if nxt not in states:
@@ -210,9 +201,6 @@ def effect_fixpoint(game, cap=10):
             effects.stored.setdefault((p, a), []).append(s)
             effects.stratum[(p, a, s)] = stratum
             effects.choice[(p, a, s)] = choice
-    for triple in effects.triples():
-        key = (triple.p, triple.a, triple.states)
-        effects.inducing[key] = build_inducing_automaton(game, triple, effects)
     return effects
 
 
@@ -238,7 +226,7 @@ class NeAutomaton:
             members = queue.popleft()
             i = index[members]
             for c in game.alphabet:
-                for u in _pointwise_successors(effects, members, c):
+                for u in sorted(_pointwise_successors(effects, members, c), key=_bitmask):
                     if u not in index:
                         index[u] = len(subsets)
                         subsets.append(u)
@@ -252,12 +240,14 @@ class NeAutomaton:
         self.nfa = Nfa(len(subsets), game.alphabet, transitions, {0}, accepting)
 
 
-def _pointwise_successors(effects, members, c):
+def _pointwise_successors(effects, members, c, below=None):
+    """The unions of one option per member on symbol c, optionally using
+    only triples admitted below the given stratum."""
     seen = set()
-    opts = [effects.options(q, c) for q in sorted(members)]
+    opts = [effects.options(q, c, below=below) for q in sorted(members)]
     for combo in iter_product(*opts):
         seen.add(frozenset().union(*combo))
-    return sorted(seen, key=_bitmask)
+    return seen
 
 
 def build_ne(game, effects):

@@ -2,10 +2,18 @@
 
 Everything here is deliberately naive: direct enumeration, table filling,
 set arithmetic.  Nothing imports the algorithms under test beyond the plain
-data containers.
+data containers and the exception classes the library's callers expect.
 """
 
 import itertools
+
+from cfgame.analysis import BudgetExceeded
+from cfgame.online import OnlineFormatError
+
+# Verdicts of brute_force_outcome.
+WIN = "Win"
+LOSE = "Lose"
+DIVERGE = "RomeoCanForceInfinite"
 
 
 def words_upto(alphabet, max_len):
@@ -125,6 +133,101 @@ def sreg_automaton_by_lifting(game, reroutes):
         for a in game.function_symbols:
             lifted[(q, hat(a))] = q
     return Dfa(call + 1, game.hist_alphabet, lifted, game.target.initial, {call})
+
+
+def brute_force_outcome(game, sigma, word):
+    """Explore every Romeo reply and classify the word.
+
+    sigma is a strategy object or a history-alphabet Dfa; every rule
+    language must be finite.  Win: every play ends in the target
+    language.  Lose: Romeo can reach a finished play outside it.
+    RomeoCanForceInfinite: Romeo can keep the play going forever,
+    detected by a repeated (strategy state, called symbol) pair on the
+    call nesting stack.  Verdicts of Lose and RomeoCanForceInfinite can
+    both be true of a word; Lose takes precedence.
+    """
+    from cfgame.automata import Dfa
+    from cfgame.games import hat
+
+    replies = {}
+    for a in game.function_symbols:
+        replies[a] = finite_language(game.replacement_dfa(a))
+        if replies[a] is None:
+            raise ValueError(
+                "replacement language of %r is infinite, out of oracle scope" % (a,)
+            )
+    dfa = sigma if isinstance(sigma, Dfa) else sigma.automaton(game)
+    target = game.target
+    memo = {}
+
+    def sub_play(p, q, symbol, stack):
+        """Endpoints and divergence of the sub-play on one symbol.
+
+        Returns (endpoints, can_diverge): all (strategy state, target
+        state) pairs some finished sub-play can end in, and whether Romeo
+        can make the sub-play go on forever.
+        """
+        if not (symbol in game.rules and dfa.transitions[(p, symbol)] in dfa.accepting):
+            return (
+                frozenset({(dfa.transitions[(p, symbol)], target.transitions[(q, symbol)])}),
+                False,
+            )
+        if (p, symbol) in stack:
+            return frozenset(), True
+        key = (p, q, symbol, stack)
+        if key in memo:
+            return memo[key]
+        inner = stack | {(p, symbol)}
+        endpoints = set()
+        diverge = False
+        for reply in replies[symbol]:
+            current = {(dfa.transitions[(p, hat(symbol))], q)}
+            for c in reply:
+                step = set()
+                for pp, qq in current:
+                    ends, div = sub_play(pp, qq, c, inner)
+                    step |= ends
+                    diverge = diverge or div
+                current = step
+                if not current:
+                    break
+            endpoints |= current
+        result = (frozenset(endpoints), diverge)
+        memo[key] = result
+        return result
+
+    reachable = {(dfa.initial, target.initial)}
+    can_diverge = False
+    for symbol in word:
+        step = set()
+        for p, q in reachable:
+            ends, div = sub_play(p, q, symbol, frozenset())
+            step |= ends
+            can_diverge = can_diverge or div
+        reachable = step
+    if any(q not in target.accepting for _, q in reachable):
+        return LOSE
+    if can_diverge:
+        return DIVERGE
+    return WIN
+
+
+def sreg_winner_by_enumeration(game, word):
+    """The first reroute set in bitmask order whose strongly regular
+    strategy wins the word, judged by brute_force_outcome, or None.
+
+    Bit b of the mask stands for the b-th (target state, function
+    symbol) pair, states major.
+    """
+    pairs = [
+        (q, a) for q in range(game.target.n_states) for a in game.function_symbols
+    ]
+    for mask in range(2 ** len(pairs)):
+        reroutes = frozenset(p for b, p in enumerate(pairs) if mask >> b & 1)
+        sigma = sreg_automaton_by_lifting(game, reroutes)
+        if brute_force_outcome(game, sigma, word) == WIN:
+            return reroutes
+    return None
 
 
 def nerode_is_minimal(dfa):
@@ -660,3 +763,101 @@ def nfa_is_universal(nfa):
                 seen.add(step)
                 frontier.append(step)
     return True
+
+
+def _check_sub_automaton(inst, dfa):
+    nfa = inst.nfa
+    if dfa.alphabet != nfa.alphabet:
+        raise OnlineFormatError("strategy alphabet differs from the instance")
+    if dfa.n_states != nfa.n_states or dfa.initial != inst.initial:
+        raise OnlineFormatError("strategy states do not match the instance")
+    if dfa.accepting != nfa.accepting:
+        raise OnlineFormatError("strategy accepting set differs from the instance")
+    for (q, a), t in dfa.transitions.items():
+        if t not in nfa.transitions.get((q, a), ()):
+            raise OnlineFormatError(
+                "strategy transition %r -%r-> %r is not in the instance" % (q, a, t)
+            )
+
+
+def online_win_set(inst, strat, max_len):
+    """Shortlex-ordered list of words of length <= max_len the strategy
+    wins on an online instance.
+
+    strat is either a deterministic sub-automaton of the instance or a
+    table mapping each prefix up to max_len to the state chosen there.
+    """
+    from cfgame.automata import Dfa
+
+    if isinstance(strat, Dfa):
+        _check_sub_automaton(inst, strat)
+        return [w for w in words_upto(strat.alphabet, max_len) if strat.accepts(w)]
+    table = strat
+    if table.get(()) != inst.initial:
+        raise OnlineFormatError("table strategy must start at the initial state")
+    out = []
+    frontier = [()]
+    for n in range(max_len + 1):
+        deeper = []
+        for w in frontier:
+            state = table.get(w)
+            if state is None:
+                raise OnlineFormatError("table strategy is missing %r" % (w,))
+            if w:
+                prev = table[w[:-1]]
+                if state not in inst.nfa.transitions.get((prev, w[-1]), ()):
+                    raise OnlineFormatError(
+                        "table moves %r -%r-> %r outside the instance"
+                        % (prev, w[-1], state)
+                    )
+            if state in inst.nfa.accepting:
+                out.append(w)
+            if n < max_len:
+                deeper.extend(w + (a,) for a in inst.nfa.alphabet)
+        frontier = deeper
+    return out
+
+
+def finite_set_cmp(s1, s2, alphabet):
+    """Shortlex order on finite word sets, via the least differing word."""
+    if s1 == s2:
+        return 0
+    m = shortlex_sorted(s1 ^ s2, alphabet)[0]
+    return 1 if m in s1 else -1
+
+
+def brute_force_best_online(inst, max_len, budget=200000):
+    """The shortlex-greatest achievable win set up to max_len on an
+    online instance.
+
+    Straight dynamic program over (state, remaining length): the player
+    sees the next letter before choosing a transition, so maximizing
+    every letter branch on its own maximizes the whole set.
+    """
+    nfa = inst.nfa
+    if len(nfa.alphabet) ** max_len > budget:
+        raise BudgetExceeded(
+            "%d^%d prefixes exceed the budget of %d"
+            % (len(nfa.alphabet), max_len, budget)
+        )
+    best = {}
+    for q in range(nfa.n_states):
+        best[(q, 0)] = frozenset([()]) if q in nfa.accepting else frozenset()
+    for d in range(1, max_len + 1):
+        for q in range(nfa.n_states):
+            words = set(best[(q, 0)])
+            for a in nfa.alphabet:
+                choice = None
+                for p in sorted(nfa.transitions[(q, a)]):
+                    if choice is None:
+                        choice = p
+                    elif (
+                        finite_set_cmp(
+                            best[(p, d - 1)], best[(choice, d - 1)], nfa.alphabet
+                        )
+                        > 0
+                    ):
+                        choice = p
+                words.update((a,) + w for w in best[(choice, d - 1)])
+            best[(q, d)] = frozenset(words)
+    return set(best[(inst.initial, max_len)])

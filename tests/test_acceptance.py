@@ -20,17 +20,17 @@ from cfgame.automata import Dfa, enumerate_upto, equivalent, is_prefix_free, sho
 from cfgame.fixtures import fixture
 from cfgame.games import to_prefix_free
 from cfgame.generators import from_3sat, from_nfa_universality, random_game
-from cfgame.online import (
-    brute_force_best_online,
-    online_win_set,
-    prune_weakly_dominant,
-)
-from cfgame.play import WIN, brute_force_outcome, strongly_regular_automaton
+from cfgame.online import prune_weakly_dominant
+from cfgame.play import strongly_regular_automaton
 from cfgame.synthesis import synthesize_weakly_dominant
 from conftest import random_nfa, random_online_instance
 from oracles import (
+    WIN,
     best_one_pass_win_set,
+    brute_force_best_online,
+    brute_force_outcome,
     nfa_is_universal,
+    online_win_set,
     sat_assignment,
     small_formulas,
     words_upto,

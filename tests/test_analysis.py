@@ -32,17 +32,18 @@ from cfgame.fixtures import fixture, fixture_names
 from cfgame.games import Game
 from cfgame.generators import CnfFormula, from_3sat
 from cfgame.play import (
-    WIN,
     ForgetfulStrategy,
     GeneralStrategy,
-    brute_force_outcome,
     read_all_strategy,
     strongly_regular_automaton,
 )
 from oracles import (
+    WIN,
     EagerRelations,
     brute_force_effects,
+    brute_force_outcome,
     sreg_automaton_by_lifting,
+    sreg_winner_by_enumeration,
     words_upto,
 )
 
@@ -140,7 +141,7 @@ def test_exists_winning_sreg_g2():
     fx = fixture("g2-regular-not-sreg")
     game = fx.game
     word = ("c",)
-    for mode in ("exhaustive", "incremental", "dfs", "auto"):
+    for mode in ("incremental", "dfs"):
         found = exists_winning_sreg(game, word, mode=mode)
         assert found is not None, mode
         assert is_winning(game, found, word)
@@ -151,24 +152,31 @@ def test_exists_winning_sreg_g2():
 
 def test_exists_winning_sreg_sandbox():
     game = fixture("sandbox").game
-    won = exists_winning_sreg(game, ("a", "b"), mode="exhaustive")
+    won = exists_winning_sreg(game, ("a", "b"))
     assert won is not None and won.reroutes == frozenset()
     direct = exists_winning_sreg(game, ("a", "c"), mode="incremental")
     assert direct is not None and direct.reroutes == frozenset({(0, "a")})
-    for mode in ("exhaustive", "incremental", "dfs"):
+    for mode in ("incremental", "dfs"):
         assert exists_winning_sreg(game, ("c", "a"), mode=mode) is None
 
 
 def test_exists_winning_sreg_budget():
     game = fixture("g2-regular-not-sreg").game
     with pytest.raises(BudgetExceeded):
-        exists_winning_sreg(game, ("c",), mode="exhaustive", budget=4)
-    found = exists_winning_sreg(game, ("c",), mode="auto", budget=4)
+        exists_winning_sreg(game, ("c",), mode="incremental", budget=4)
+    found = exists_winning_sreg(game, ("c",), budget=4)
     assert found is not None
     # the dfs search for c visits three nodes
     with pytest.raises(BudgetExceeded):
         exists_winning_sreg(game, ("c",), mode="dfs", budget=2)
     assert exists_winning_sreg(game, ("c",), mode="dfs", budget=3) is not None
+
+
+def test_exists_winning_sreg_rejects_unknown_modes():
+    game = fixture("sandbox").game
+    for mode in ("exhaustive", "auto"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            exists_winning_sreg(game, ("a",), mode=mode)
 
 
 def test_relations_cache_drops_dead_strategies():
@@ -188,7 +196,7 @@ def test_empty_word_can_win():
     sigma = read_all_strategy(game)
     assert is_winning(game, sigma, ())
     assert () in winning_set_upto(game, sigma, 1)
-    assert exists_winning_sreg(game, ("a",), mode="auto").reroutes == frozenset()
+    assert exists_winning_sreg(game, ("a",)).reroutes == frozenset()
 
 
 def test_star_rule_pumps_the_target():
@@ -370,8 +378,8 @@ def test_relations_match_eager_saturation(data):
 
 
 # exists_winning_sreg on 3SAT reductions: (variables, clauses, reroutes
-# found by dfs and auto mode as {state: symbols}), recorded with the
-# eagerly saturated relations
+# found by dfs mode as {state: symbols}), recorded with the eagerly
+# saturated relations
 SREG_GOLDEN = [
     (
         2,
@@ -442,13 +450,12 @@ SREG_GOLDEN = [
 @pytest.mark.parametrize("n_vars, clauses, reroutes", SREG_GOLDEN)
 def test_sreg_reroutes_golden(n_vars, clauses, reroutes):
     game, word = from_3sat(CnfFormula(n_vars, clauses))
-    for mode in ("dfs", "auto"):
-        found = exists_winning_sreg(game, word, mode=mode)
-        if reroutes is None:
-            assert found is None, mode
-        else:
-            expected = {(q, a) for q, symbols in reroutes.items() for a in symbols}
-            assert found.reroutes == expected, mode
+    found = exists_winning_sreg(game, word, mode="dfs")
+    if reroutes is None:
+        assert found is None
+    else:
+        expected = {(q, a) for q, symbols in reroutes.items() for a in symbols}
+        assert found.reroutes == expected
 
 
 @settings(deadline=None, max_examples=40)
@@ -473,7 +480,7 @@ def test_decisions_match_brute_force(data):
 def test_dfs_matches_exhaustive(data):
     game = data.draw(small_finite_games())
     word = tuple(data.draw(st.lists(st.sampled_from(game.alphabet), max_size=3)))
-    a = exists_winning_sreg(game, word, mode="exhaustive")
+    a = sreg_winner_by_enumeration(game, word)
     b = exists_winning_sreg(game, word, mode="dfs")
     assert (a is None) == (b is None)
     if b is not None:

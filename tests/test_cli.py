@@ -285,7 +285,7 @@ def test_exists_winning_budget_exceeded(tmp_path, capsys):
         "--word",
         "0 C D E",
         "--mode",
-        "exhaustive",
+        "incremental",
         "--budget",
         "1",
     )
@@ -307,6 +307,13 @@ def test_exists_winning_dfs_budget_exceeded(capsys):
     )
     assert code == 3
     assert data["exit"] == 3
+
+
+def test_exists_winning_rejects_retired_modes(capsys):
+    for mode in ("auto", "exhaustive"):
+        with pytest.raises(SystemExit) as err:
+            main(["exists-winning", "fixture:sandbox", "--word", "a", "--mode", mode])
+        assert err.value.code == 2
 
 
 def test_generate_universality_and_compare(tmp_path, capsys):
@@ -489,6 +496,18 @@ ONE_STATE_GAME = {
     },
 }
 
+# a forgetful strategy whose transition on b leads to a state it lacks
+OUT_OF_RANGE_STRATEGY = {
+    "kind": "forgetful",
+    "automaton": {
+        "alphabet": ["a", "b"],
+        "states": 1,
+        "initial": 0,
+        "accepting": [],
+        "transitions": [[0, "a", 0], [0, "b", 7]],
+    },
+}
+
 # name -> (arguments, input files); every file parses as JSON
 MALFORMED_INPUTS = {
     "game-transitions": (
@@ -585,6 +604,33 @@ MALFORMED_INPUTS = {
             "game.json": ONE_STATE_GAME,
             "sigma.json": {"kind": "strongly-regular", "reroutes": [[[0], "a"]]},
         },
+    ),
+    "strategy-target": (
+        ["is-winning", "game.json", "--strategy", "sigma.json", "--word", "a"],
+        {"game.json": ONE_STATE_GAME, "sigma.json": OUT_OF_RANGE_STRATEGY},
+    ),
+    "strategy-target-validate": (
+        ["validate", "game.json", "--strategy", "sigma.json"],
+        {"game.json": ONE_STATE_GAME, "sigma.json": OUT_OF_RANGE_STRATEGY},
+    ),
+    "game-target": (
+        ["classify", "game.json"],
+        {
+            "game.json": dict(
+                ONE_STATE_GAME,
+                target=dict(
+                    ONE_STATE_GAME["target"], transitions=[[0, "a", 0], [0, "b", 7]]
+                ),
+            )
+        },
+    ),
+    "game-name": (
+        ["transform", "game.json", "--prefix-free"],
+        {"game.json": dict(ONE_STATE_GAME, name=5)},
+    ),
+    "play-steps": (
+        ["play", "fixture:sandbox", "--strategy", "read-all", "--word", "a", "--steps", "0"],
+        {},
     ),
 }
 

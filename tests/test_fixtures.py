@@ -5,12 +5,8 @@ import pytest
 from cfgame.automata import all_words_upto
 from cfgame.fixtures import fixture, fixture_names
 from cfgame.games import classify
-from cfgame.play import (
-    WIN,
-    brute_force_outcome,
-    read_all_strategy,
-    strongly_regular_automaton,
-)
+from cfgame.play import read_all_strategy, strongly_regular_automaton
+from oracles import WIN, brute_force_outcome
 
 
 def brute_winning_set(game, strategy, max_len):

@@ -14,10 +14,11 @@ from cfgame.generators import (
     from_nfa_universality,
     random_game,
 )
-from cfgame.play import brute_force_outcome, read_all_strategy
+from cfgame.play import read_all_strategy
 from conftest import random_nfa
 from oracles import (
     all_assignments,
+    brute_force_outcome,
     nfa_is_universal,
     sat_assignment,
     small_formulas,

@@ -10,13 +10,12 @@ from cfgame.automata import Dfa, Nfa, enumerate_upto, shortlex_key
 from cfgame.online import (
     OnlineFormatError,
     OnlineInstance,
-    brute_force_best_online,
     diagnose_bounded,
     dump_online_instance,
     load_online_instance,
-    online_win_set,
     prune_weakly_dominant,
 )
+from oracles import brute_force_best_online, online_win_set
 
 
 def set_cmp(s1, s2, alphabet):

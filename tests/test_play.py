@@ -6,10 +6,7 @@ from cfgame.automata import Dfa, all_words_upto
 from cfgame.fixtures import fixture
 from cfgame.games import Game, flatten_history
 from cfgame.play import (
-    DIVERGE,
-    LOSE,
     TRUNCATED,
-    WIN,
     WIN_JULIET,
     WIN_ROMEO,
     ForgetfulStrategy,
@@ -17,7 +14,6 @@ from cfgame.play import (
     PlayProtocolError,
     StrategyFormatError,
     StronglyRegularStrategy,
-    brute_force_outcome,
     constant_romeo,
     dump_strategy,
     load_strategy,
@@ -29,6 +25,7 @@ from cfgame.play import (
     strategy_to_dict,
     strongly_regular_automaton,
 )
+from oracles import DIVERGE, LOSE, WIN, brute_force_outcome
 
 
 def test_sandbox_read_all_wins_ab():

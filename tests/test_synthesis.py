@@ -13,7 +13,6 @@ from cfgame.automata import (
 )
 from cfgame.fixtures import fixture
 from cfgame.games import Game, hat, to_prefix_free
-from cfgame.play import WIN, brute_force_outcome
 from cfgame.synthesis import (
     EffectSet,
     EffectTriple,
@@ -25,7 +24,7 @@ from cfgame.synthesis import (
     is_trivial,
     synthesize_weakly_dominant,
 )
-from oracles import best_one_pass_win_set
+from oracles import WIN, best_one_pass_win_set, brute_force_outcome
 
 
 def set_cmp(s1, s2, alphabet):
@@ -183,14 +182,14 @@ def test_inducing_automaton_partitions():
         for other, more in ind.partitions.items():
             if q != other:
                 assert not states & more
-    assert (triple.p, triple.a, triple.states) in effects.inducing
+    assert (triple.p, triple.a, triple.states) in effects.triples()
 
 
 def test_transformed_sandbox_inducing_partitions():
     game = to_prefix_free(fixture("sandbox").game, "$")
     effects = effect_fixpoint(game)
     for triple in effects.triples():
-        ind = effects.inducing[(triple.p, triple.a, triple.states)]
+        ind = build_inducing_automaton(game, triple, effects)
         for st, t in replay_partitions(game, ind):
             assert t in triple.states
             assert st in ind.partitions[t]
