@@ -709,16 +709,17 @@ def _transition_triples(data):
     """The (q, a, t) transition entries of an automaton description.
 
     Raises ValueError when the description is not an object, lacks a
-    field, or has a transitions value that is not a list of hashable
-    triples.
+    field, has an alphabet that is not a list, or has a transitions
+    value that is not a list of hashable triples.
     """
     if not isinstance(data, dict):
         raise ValueError("automaton description must be an object")
     for field in ("alphabet", "states", "initial", "accepting", "transitions"):
         if field not in data:
             raise ValueError("automaton is missing %r" % field)
-    if not isinstance(data["transitions"], (list, tuple)):
-        raise ValueError("transitions must be a list, got %r" % (data["transitions"],))
+    for field in ("alphabet", "transitions"):
+        if not isinstance(data[field], (list, tuple)):
+            raise ValueError("%s must be a list, got %r" % (field, data[field]))
     triples = []
     for entry in data["transitions"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):

@@ -3,8 +3,8 @@
 Every subcommand is a thin adapter over one library call.  Decision
 commands print a one-line verdict followed by a JSON detail object and
 encode the answer in the exit status: 0 affirmative, 1 negative, 2 bad
-usage or input, 3 budget or scope exceeded.  --json drops the verdict
-line, --quiet drops the JSON.
+usage or input, 3 budget or scope exceeded or output lost.  --json drops
+the verdict line, --quiet drops the JSON.
 
 Games are given as file paths or as fixture:<name>; strategies as file
 paths, fixture strategy names, or the builtin read-all.
@@ -689,9 +689,7 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args):
     try:
         return args.func(args)
     except CliError as exc:
@@ -716,6 +714,18 @@ def main(argv=None):
                 sort_keys=True,
             )
         )
+        return SCOPE
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; keep the flush at shutdown from raising too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return SCOPE
 
 

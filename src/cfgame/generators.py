@@ -9,15 +9,12 @@ from_nfa_universality builds a game and two strategies whose dominance
 settles whether an NFA accepts every word over {0,1}, comparable against
 the subset construction.  random_game produces seed-deterministic corpus
 instances with requested class flags.
-
-The named fixtures live in the fixtures module and are re-exported here
-so generator users find everything in one place.
 """
 
 import random
 
 from .automata import Dfa, Nfa
-from .fixtures import Fixture, fixture, fixture_names  # noqa: F401
+from .fixtures import fixture
 from .games import Game, classify
 from .play import StronglyRegularStrategy, strongly_regular_automaton
 

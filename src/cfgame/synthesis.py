@@ -77,11 +77,6 @@ class EffectSet:
             opts.append(s)
         return opts
 
-    def implied(self, p, a, s):
-        if self.read_target(p, a) in s:
-            return True
-        return any(t <= s for t in self.stored.get((p, a), ()))
-
     def fitting(self, p, c, inside, below=None):
         """Smallest-bitmask usable effect set contained in the given
         state set, or None."""
@@ -165,9 +160,10 @@ def effect_fixpoint(game, cap=10):
     """Least fixpoint of the effect-triple admission operator.
 
     Each round tests every candidate (p, a, states) against the triples
-    admitted in earlier rounds; candidates implied by reading or by an
-    already stored subset are skipped, so the stored sets per (p, a)
-    stay inclusion-minimal within their round.
+    admitted in earlier rounds; candidates that reading or an already
+    stored subset fits inside are skipped, so the stored sets per (p, a)
+    stay inclusion-minimal.  A triple is stored as soon as it is
+    admitted, since the scan ignores triples of the current round.
     """
     report = classify(game)
     if not report.prefix_free:
@@ -181,26 +177,22 @@ def effect_fixpoint(game, cap=10):
         )
     effects = EffectSet(game)
     stratum = 0
-    while True:
+    admitted = True
+    while admitted:
         stratum += 1
-        added = []
+        admitted = False
         for a in game.function_symbols:
             for p in range(n):
                 for mask in range(1, 1 << n):
                     s = frozenset(q for q in range(n) if mask >> q & 1)
-                    if effects.implied(p, a, s):
-                        continue
-                    if any(k == (p, a) and t <= s for k, t, _ in added):
+                    if effects.fitting(p, a, s) is not None:
                         continue
                     choice = _winning_scan(game, effects, p, a, s, below=stratum)
                     if choice is not None:
-                        added.append(((p, a), s, choice))
-        if not added:
-            break
-        for (p, a), s, choice in added:
-            effects.stored.setdefault((p, a), []).append(s)
-            effects.stratum[(p, a, s)] = stratum
-            effects.choice[(p, a, s)] = choice
+                        effects.stored.setdefault((p, a), []).append(s)
+                        effects.stratum[(p, a, s)] = stratum
+                        effects.choice[(p, a, s)] = choice
+                        admitted = True
     return effects
 
 
@@ -254,51 +246,6 @@ def build_ne(game, effects):
     return NeAutomaton(game, effects)
 
 
-def _scan_graph(game, effects, p, a, s):
-    """Concrete scan plan of an admitted triple.
-
-    Nodes carry the actual target state next to the scanner bookkeeping;
-    every node either reads or names the nested triple to call, and
-    completed nodes record where the target landed.
-    """
-    rdfa = game.replacement_dfa(a)
-    level = effects.stratum[(p, a, s)]
-    choice = effects.choice[(p, a, s)]
-    target = game.target
-    start = (p, frozenset([p]), rdfa.initial)
-    nodes = {}
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        node = queue.popleft()
-        q, members, y = node
-        if y in rdfa.accepting:
-            nodes[node] = ("done", q)
-            continue
-        plan = {}
-        for c in game.alphabet:
-            key = (members, y, c)
-            if key not in choice:
-                continue  # no reply continues with c here
-            nxt_members = choice[key]
-            y2 = rdfa.transitions[(y, c)]
-            read_to = target.transitions[(q, c)]
-            if read_to in nxt_members:
-                follow = [(read_to, nxt_members, y2)]
-                plan[c] = ("read", follow[0])
-            else:
-                sub = effects.fitting(q, c, nxt_members, below=level)
-                assert sub is not None, "admitted scan lost its nested triple"
-                plan[c] = ("call", q, sub, nxt_members, y2)
-                follow = [(r, nxt_members, y2) for r in sub]
-            for f in follow:
-                if f not in seen:
-                    seen.add(f)
-                    queue.append(f)
-        nodes[node] = ("scan", plan)
-    return start, nodes
-
-
 class _AutomatonBuilder:
     """Shared assembly of strategy automata over the history alphabet.
 
@@ -314,7 +261,6 @@ class _AutomatonBuilder:
         self.names = {}
         self.labels = []
         self.transitions = {}
-        self.graphs = {}
         self.embedded = {}
 
     def state(self, label):
@@ -323,55 +269,66 @@ class _AutomatonBuilder:
             self.labels.append(label)
         return self.names[label]
 
-    def graph(self, key):
-        if key not in self.graphs:
-            self.graphs[key] = _scan_graph(self.game, self.effects, *key)
-        return self.graphs[key]
+    def realize(self, sid, q, c, inside, below, label):
+        """Wire symbol c at state sid, with the target at q: read it when
+        the target's move lands inside the chosen set, otherwise call
+        the smallest fitting triple admitted below the given stratum.
+        label maps a landing target state to the label play continues
+        at.  Returns the landing target states."""
+        read_to = self.game.target.transitions[(q, c)]
+        if read_to in inside:
+            self.transitions[(sid, c)] = self.state(label(read_to))
+            return [read_to]
+        sub = self.effects.fitting(q, c, inside, below=below)
+        assert sub is not None, "no admitted triple fits %r on %r" % (q, c)
+        self.transitions[(sid, c)] = self.state(("call",))
+        landed = sorted(sub)
+        entry = self.embed((q, c, sub), {r: label(r) for r in landed})
+        self.transitions[(sid, hat(c))] = self.state(entry)
+        return landed
 
     def embed(self, key, cont):
-        """Instantiate the scan plan of the triple (p, a, s) = key,
-        wiring completed nodes to the continuation labels.  Returns the
-        entry label."""
+        """Instantiate the scan of the triple (p, a, s) = key, following
+        its choice map; nodes pair the actual target state with the
+        scanner's (possible target states, reply state), and completed
+        replies go to the continuation labels.  Returns the entry label."""
         cont_key = tuple(sorted(cont.items()))
         memo = (key, cont_key)
         if memo in self.embedded:
             return self.embedded[memo]
-        start, nodes = self.graph(key)
+        p, a, _ = key
+        rdfa = self.game.replacement_dfa(a)
+        level = self.effects.stratum[key]
+        choice = self.effects.choice[key]
+        symbols = sorted(self.game.alphabet)
 
         def label_of(node):
-            kind = nodes[node]
-            if kind[0] == "done":
-                return cont[kind[1]]
-            return ("ind", key, node[0], node[1], node[2], cont_key)
+            q, members, y = node
+            if y in rdfa.accepting:
+                return cont[q]
+            return ("ind", key, q, members, y, cont_key)
 
+        start = (p, frozenset([p]), rdfa.initial)
         entry = label_of(start)
         self.embedded[memo] = entry
         pending = [start]
         walked = set()
         while pending:
             node = pending.pop()
-            if node in walked:
+            q, members, y = node
+            if node in walked or y in rdfa.accepting:
                 continue
             walked.add(node)
-            kind = nodes[node]
-            if kind[0] == "done":
-                continue
             sid = self.state(label_of(node))
-            for c, action in sorted(kind[1].items()):
-                if action[0] == "read":
-                    nxt = action[1]
-                    self.transitions[(sid, c)] = self.state(label_of(nxt))
-                    pending.append(nxt)
-                else:
-                    _, q, sub, nxt_members, y2 = action
-                    self.transitions[(sid, c)] = self.state(("call",))
-                    inner = {}
-                    for r in sorted(sub):
-                        follow = (r, nxt_members, y2)
-                        inner[r] = label_of(follow)
-                        pending.append(follow)
-                    sub_entry = self.embed((q, c, sub), inner)
-                    self.transitions[(sid, hat(c))] = self.state(sub_entry)
+            for c in symbols:
+                inside = choice.get((members, y, c))
+                if inside is None:
+                    continue  # no reply continues with c here
+                y2 = rdfa.transitions[(y, c)]
+                landed = self.realize(
+                    sid, q, c, inside, level, lambda r: label_of((r, inside, y2))
+                )
+                pending.extend((r, inside, y2) for r in landed)
         return entry
 
     def finish(self, start_label):
@@ -443,58 +400,36 @@ class SynthesizedStrategy(GeneralStrategy):
         self.pruned = pruned
 
 
-def build_top_automaton(game, effects, ne=None, pruned=None):
+def build_top_automaton(game, effects):
     """Strategy automaton following the pruned subset choice.
 
     States (p, S) pair the actual target state with the subset state;
-    on a symbol the strategy reads when the target's move lands inside
-    the chosen next subset and otherwise calls the smallest-bitmask
-    admitted triple that fits, simulating its scan plan until one of
-    its landing states re-enters the top level.
+    each symbol is realized by the builder's read-or-call step, with
+    every admitted triple usable.
     """
-    if ne is None:
-        ne = build_ne(game, effects)
-    if pruned is None:
-        pruned = prune_weakly_dominant(OnlineInstance(ne.nfa))
-    target = game.target
+    ne = build_ne(game, effects)
+    pruned = prune_weakly_dominant(OnlineInstance(ne.nfa))
     builder = _AutomatonBuilder(game, effects)
-    start = ("top", target.initial, pruned.initial)
-    todo = [(target.initial, pruned.initial)]
-    seen = set(todo)
+    start = (game.target.initial, pruned.initial)
+    todo = [start]
+    seen = {start}
     while todo:
         p, d = todo.pop()
         sid = builder.state(("top", p, d))
         for c in game.alphabet:
             d2 = pruned.transitions[(d, c)]
-            members = ne.subsets[d2]
-            read_to = target.transitions[(p, c)]
-            if read_to in members:
-                builder.transitions[(sid, c)] = builder.state(("top", read_to, d2))
-                if (read_to, d2) not in seen:
-                    seen.add((read_to, d2))
-                    todo.append((read_to, d2))
-            else:
-                sub = effects.fitting(p, c, members)
-                assert sub is not None, (
-                    "pruned choice %r on %r offers no fitting triple" % (d, c)
-                )
-                builder.transitions[(sid, c)] = builder.state(("call",))
-                cont = {}
-                for r in sorted(sub):
-                    cont[r] = ("top", r, d2)
-                    if (r, d2) not in seen:
-                        seen.add((r, d2))
-                        todo.append((r, d2))
-                entry = builder.embed((p, c, sub), cont)
-                builder.transitions[(sid, hat(c))] = builder.state(entry)
-    dfa = builder.finish(start)
+            landed = builder.realize(
+                sid, p, c, ne.subsets[d2], None, lambda r: ("top", r, d2)
+            )
+            for r in landed:
+                if (r, d2) not in seen:
+                    seen.add((r, d2))
+                    todo.append((r, d2))
+    dfa = builder.finish(("top",) + start)
     return SynthesizedStrategy(dfa, builder.labels, effects, ne, pruned)
 
 
 def synthesize_weakly_dominant(game, cap=10):
     """Full pipeline: effect fixpoint, subset automaton, online pruning,
     top-level realization."""
-    effects = effect_fixpoint(game, cap=cap)
-    ne = build_ne(game, effects)
-    pruned = prune_weakly_dominant(OnlineInstance(ne.nfa))
-    return build_top_automaton(game, effects, ne=ne, pruned=pruned)
+    return build_top_automaton(game, effect_fixpoint(game, cap=cap))

@@ -632,6 +632,42 @@ MALFORMED_INPUTS = {
         ["play", "fixture:sandbox", "--strategy", "read-all", "--word", "a", "--steps", "0"],
         {},
     ),
+    "game-alphabet-string": (
+        ["classify", "game.json"],
+        {"game.json": dict(ONE_STATE_GAME, alphabet="ab")},
+    ),
+    "game-alphabet-object": (
+        ["classify", "game.json"],
+        {"game.json": dict(ONE_STATE_GAME, alphabet={"a": 1, "b": 2})},
+    ),
+    "strategy-alphabet-string": (
+        ["is-winning", "game.json", "--strategy", "sigma.json", "--word", "a"],
+        {
+            "game.json": ONE_STATE_GAME,
+            "sigma.json": {
+                "kind": "forgetful",
+                "automaton": {
+                    "alphabet": "ab",
+                    "states": 1,
+                    "initial": 0,
+                    "accepting": [],
+                    "transitions": [[0, "a", 0], [0, "b", 0]],
+                },
+            },
+        },
+    ),
+    "online-alphabet-string": (
+        ["online-prune", "instance.json"],
+        {
+            "instance.json": {
+                "alphabet": "a",
+                "states": 1,
+                "initial": 0,
+                "accepting": [0],
+                "transitions": [[0, "a", 0]],
+            }
+        },
+    ),
 }
 
 
@@ -651,6 +687,35 @@ def test_malformed_input_exits_without_traceback(case, tmp_path):
     assert proc.returncode in (2, 3), proc.stderr
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["exit"] == proc.returncode
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["export", "fixture:g2c-undominated"], "1"),
+        (["export", "fixture:g2c-undominated"], ""),
+        (["classify", "fixture:nope"], "1"),  # the error report is lost too
+    ],
+)
+def test_closed_stdout_exits_3_without_traceback(argv, unbuffered):
+    # the read end is closed before the child starts, so its first write
+    # (or the flush of a buffered one) fails with a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfgame", "--json", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(package_env(), PYTHONUNBUFFERED=unbuffered),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 def test_bad_subcommand_exits_2(capsys):

@@ -16,9 +16,14 @@ import pytest
 from cfgame.analysis import losing_nfa
 from cfgame.automata import dfa_to_dict, is_prefix_free, nfa_to_dict, regex_to_nfa
 from cfgame.fixtures import fixture, fixture_names
-from cfgame.games import classify, dump_game
+from cfgame.games import classify, dump_game, to_prefix_free
 from cfgame.generators import random_game
 from cfgame.play import dump_strategy, strongly_regular_automaton
+from cfgame.synthesis import (
+    build_inducing_automaton,
+    effect_fixpoint,
+    synthesize_weakly_dominant,
+)
 
 RANDOM_PARAMS = {
     "plain": {},
@@ -181,3 +186,115 @@ GOLDEN = {
 @pytest.mark.parametrize("case", CASES)
 def test_output_digest_golden(case):
     assert case_digest(case) == GOLDEN[case]
+
+
+# Synthesis output: the strategy automaton, its state labels, the pruned
+# subset choice, and the inducing automaton of every admitted triple.
+# Fixtures that are not prefix-free are transformed first.
+
+
+def _canonical(value):
+    if isinstance(value, frozenset):
+        return sorted(_canonical(v) for v in value)
+    if isinstance(value, (tuple, list)):
+        return [_canonical(v) for v in value]
+    return value
+
+
+def _synthesis_game(case):
+    kind, _, rest = case.partition(":")
+    if kind == "fixture":
+        game = fixture(rest).game
+        return game if classify(game).prefix_free else to_prefix_free(game)
+    label, seed = rest.split("/")
+    return random_game(RANDOM_PARAMS[label], int(seed))
+
+
+def _synthesis_texts(game):
+    strategy = synthesize_weakly_dominant(game)
+    yield json.dumps(dfa_to_dict(strategy.dfa))
+    yield json.dumps(_canonical(strategy.labels))
+    yield json.dumps(dfa_to_dict(strategy.pruned))
+    effects = effect_fixpoint(game)
+    for triple in effects.triples():
+        ind = build_inducing_automaton(game, triple, effects)
+        yield json.dumps(_canonical(triple))
+        yield json.dumps(dfa_to_dict(ind.strategy.dfa))
+        yield json.dumps(sorted((q, sorted(s)) for q, s in ind.partitions.items()))
+
+
+def synthesis_digest(case):
+    digest = hashlib.sha256()
+    for text in _synthesis_texts(_synthesis_game(case)):
+        digest.update(text.encode("utf-8") + b"\0")
+    return digest.hexdigest()[:16]
+
+
+SYNTHESIS_CASES = ["fixture:%s" % name for name in fixture_names()] + [
+    "random:pf/%d" % seed for seed in range(50)
+]
+
+# recorded before the plan graph of synthesis was folded into one
+# read-or-call step
+SYNTHESIS_GOLDEN = {
+    "fixture:g1-recursive": "764b048934aea8f9",
+    "fixture:g1c-undominated": "217633b097add263",
+    "fixture:g2-regular-not-sreg": "9199a2cb6fd4807b",
+    "fixture:g2c-undominated": "cf2d3e8993da25fa",
+    "fixture:sandbox": "8773f905f586eca5",
+    "random:pf/0": "a4f3999a5748d8b8",
+    "random:pf/1": "cb0494f2d77ee711",
+    "random:pf/2": "f33ff84eb3d19e7f",
+    "random:pf/3": "4b8b2b124398e9d2",
+    "random:pf/4": "af5d66585b172a2d",
+    "random:pf/5": "ac7051440b5f78b5",
+    "random:pf/6": "41b2350202623c46",
+    "random:pf/7": "2e4220faea88eadb",
+    "random:pf/8": "22077dbc251b6c7c",
+    "random:pf/9": "2dc2ff975398b669",
+    "random:pf/10": "1323281b7df52fa9",
+    "random:pf/11": "a834c967d7246584",
+    "random:pf/12": "1c541adc48f13bd0",
+    "random:pf/13": "075da3292d58f92d",
+    "random:pf/14": "35ba9eafed1c836d",
+    "random:pf/15": "b7b4077006c83ce6",
+    "random:pf/16": "0c576b63b17cee17",
+    "random:pf/17": "d531183cbdf92b24",
+    "random:pf/18": "f47375a120df72d4",
+    "random:pf/19": "d4a30df1fea35b80",
+    "random:pf/20": "ba8f3619d20be142",
+    "random:pf/21": "ae1f8ba5f0dfe354",
+    "random:pf/22": "7ca004769b807a0e",
+    "random:pf/23": "4a7b1d4fe6486bfe",
+    "random:pf/24": "f10f43e7e47fe5ca",
+    "random:pf/25": "ac8403d1d491e370",
+    "random:pf/26": "6aa0ddc65fb454e8",
+    "random:pf/27": "cb0494f2d77ee711",
+    "random:pf/28": "42c67b271d32158d",
+    "random:pf/29": "e988f5c12c88cb03",
+    "random:pf/30": "e988f5c12c88cb03",
+    "random:pf/31": "e988f5c12c88cb03",
+    "random:pf/32": "c615e36fb59c4b8f",
+    "random:pf/33": "990730021dc302ba",
+    "random:pf/34": "f7fce728155f5e8c",
+    "random:pf/35": "ac900e5bda9b0108",
+    "random:pf/36": "95304643078f5c9f",
+    "random:pf/37": "f65fa205882dece9",
+    "random:pf/38": "4fec64964f1283b5",
+    "random:pf/39": "2e4220faea88eadb",
+    "random:pf/40": "4b6af461ca6ff5a5",
+    "random:pf/41": "2ed75818d01877fc",
+    "random:pf/42": "708d30dda4ce794b",
+    "random:pf/43": "26a5b127baeb3cb6",
+    "random:pf/44": "f4d0ad466daa3e57",
+    "random:pf/45": "ef4d70de0951e461",
+    "random:pf/46": "9d01df6b37a186e7",
+    "random:pf/47": "cb0494f2d77ee711",
+    "random:pf/48": "2e4220faea88eadb",
+    "random:pf/49": "2a51fd07fa86dac4",
+}
+
+
+@pytest.mark.parametrize("case", SYNTHESIS_CASES)
+def test_synthesis_digest_golden(case):
+    assert synthesis_digest(case) == SYNTHESIS_GOLDEN[case]
