@@ -338,25 +338,58 @@ def regex_to_nfa(node, alphabet):
     return Nfa(len(positions) + 1, alphabet, transitions, {0}, accepting)
 
 
+def _subset_graph(nfa, starts):
+    """Subset construction from a list of distinct start subsets with one
+    shared index.
+
+    Subsets are numbered from 0, the starts first and the rest in
+    breadth-first discovery order.  Returns (count, transitions,
+    accepting): the number of subsets reached, the map from (i, a) to the
+    number of the successor of subset i on a, and the numbers of the
+    subsets that meet nfa.accepting.  Each subset is stepped once per
+    symbol.
+    """
+    subsets = list(starts)
+    index = {subset: i for i, subset in enumerate(subsets)}
+    transitions = {}
+    for i, subset in enumerate(subsets):  # grows while walked: a BFS queue
+        for a in nfa.alphabet:
+            nxt = nfa.step_set(subset, a)
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(subsets)
+                subsets.append(nxt)
+            transitions[(i, a)] = j
+    accepting = {i for i, subset in enumerate(subsets) if subset & nfa.accepting}
+    return len(subsets), transitions, accepting
+
+
 def determinize(nfa):
     """Subset construction.  The result is total; the empty subset becomes a
     dead state when reachable."""
-    start = frozenset(nfa.initials)
-    index = {start: 0}
-    order = [start]
-    transitions = {}
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        for a in nfa.alphabet:
-            nxt = nfa.step_set(subset, a)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            transitions[(index[subset], a)] = index[nxt]
-    accepting = {i for s, i in index.items() if s & nfa.accepting}
-    return Dfa(len(order), nfa.alphabet, transitions, 0, accepting)
+    count, transitions, accepting = _subset_graph(nfa, [frozenset(nfa.initials)])
+    return Dfa(count, nfa.alphabet, transitions, 0, accepting)
+
+
+def _moore_blocks(states, alphabet, transitions, accepting):
+    """Moore partition refinement over states, which transitions (a total
+    map from (state, symbol)) must not leave.
+
+    Returns the map from each state to its block number; two states
+    share a block exactly when they accept the same language.
+    """
+    successors = [(q, [transitions[(q, a)] for a in alphabet]) for q in states]
+    block = {q: (1 if q in accepting else 0) for q, _ in successors}
+    count = len(set(block.values()))
+    while True:
+        renumber = {}
+        refined = {
+            q: renumber.setdefault((block[q], *[block[t] for t in succ]), len(renumber))
+            for q, succ in successors
+        }
+        if len(renumber) == count:
+            return refined
+        block, count = refined, len(renumber)
 
 
 def minimize_with_map(dfa):
@@ -377,21 +410,7 @@ def minimize_with_map(dfa):
                 seen.add(t)
                 reachable.append(t)
 
-    # Moore partition refinement on the reachable part.
-    block = {q: (1 if q in dfa.accepting else 0) for q in reachable}
-    while True:
-        signature = {
-            q: (block[q],) + tuple(block[dfa.transitions[(q, a)]] for a in dfa.alphabet)
-            for q in reachable
-        }
-        renumber = {}
-        for q in reachable:
-            renumber.setdefault(signature[q], len(renumber))
-        new_block = {q: renumber[signature[q]] for q in reachable}
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
+    block = _moore_blocks(reachable, dfa.alphabet, dfa.transitions, dfa.accepting)
 
     # Canonical numbering of blocks by BFS from the initial block.
     rep = {}
@@ -544,6 +563,41 @@ def compare_shortlex(d1, d2):
     if word is None:
         return 0, None
     return (1, word) if d1.accepts(word) else (-1, word)
+
+
+def residual_order(nfa):
+    """Shortlex order on the residual languages of an NFA's states.
+
+    Returns cmp(p, q): -1, 0 or 1 as the language accepted from {p} is
+    less than, equal to or greater than the one accepted from {q}, in the
+    order of compare_shortlex.  One subset graph, explored from all
+    singletons with a shared index, and one Moore refinement over it
+    serve every pair: two residuals are equal exactly when their
+    singletons share a block, and unequal ones are ordered by a pair
+    search on the block quotient.
+    """
+    singletons = [frozenset([q]) for q in range(nfa.n_states)]
+    count, transitions, accepting = _subset_graph(nfa, singletons)
+    block = _moore_blocks(range(count), nfa.alphabet, transitions, accepting)
+    quotient = {(block[i], a): block[j] for (i, a), j in transitions.items()}
+    final = {block[i] for i in accepting}
+
+    def cmp(p, q):
+        # the singleton {q} is subset number q
+        b1, b2 = block[p], block[q]
+        if b1 == b2:
+            return 0
+        word = _shortlex_path(
+            (b1, b2),
+            lambda pair, a: (quotient[(pair[0], a)], quotient[(pair[1], a)]),
+            nfa.alphabet,
+            lambda pair: (pair[0] in final) != (pair[1] in final),
+        )
+        for a in word:
+            b1 = quotient[(b1, a)]
+        return 1 if b1 in final else -1
+
+    return cmp
 
 
 def shortlex_key(word, alphabet):

@@ -718,11 +718,12 @@ def _run(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        code = _run(args)
-        sys.stdout.flush()
-        return code
+        try:
+            return _run(build_parser().parse_args(argv))
+        finally:
+            # a buffered write (of --help too) that fails here is caught below
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away; keep the flush at shutdown from raising too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -5,20 +5,27 @@ transition per letter; the word is won when the chosen run ends in an
 accepting state.  Removing transitions until every remaining choice has
 the shortlex-greatest residual language leaves a deterministic
 sub-automaton that is a weakly dominant way of playing.
+
+Pruning goes in rounds.  A round explores one subset graph from all
+singletons {q} of the current automaton, with one shared index, and
+refines it once into blocks of equal language (automata.residual_order).
+Two successors are then equal when their singletons share a block, and
+unequal ones are ordered by one pair search on the block quotient.  Each
+choice keeps its greatest successors; rounds repeat until none changes.
 """
 
+from collections import deque
 import json
 
 from .automata import (
     Dfa,
     Nfa,
-    compare_shortlex,
     determinize,
     enumerate_upto,
     equivalent,
     nfa_from_dict,
     nfa_to_dict,
-    shortlex_key,
+    residual_order,
 )
 
 
@@ -85,39 +92,50 @@ def _finite_set_cmp(s1, s2, alphabet):
     """Shortlex order on finite word sets, via the least differing word."""
     if s1 == s2:
         return 0
-    m = min(s1 ^ s2, key=lambda w: shortlex_key(w, alphabet))
+    index = {a: i for i, a in enumerate(alphabet)}
+    m = min(s1 ^ s2, key=lambda w: (len(w), [index[a] for a in w]))
     return 1 if m in s1 else -1
 
 
+def _keep_best(transitions, cmp):
+    """One pruning round: cut every choice down to the successors that
+    cmp(p, q) ranks greatest, scanning them in index order and keeping
+    ties.  Returns whether anything was removed."""
+    removed = False
+    for key, succ in transitions.items():
+        if len(succ) < 2:
+            continue
+        best = []
+        for p in sorted(succ):
+            c = cmp(p, best[0]) if best else 1
+            if c > 0:
+                best = [p]
+            elif c == 0:
+                best.append(p)
+        if len(best) < len(succ):
+            transitions[key] = set(best)
+            removed = True
+    return removed
+
+
 def _pruned_transitions(inst):
-    """Stabilized keep-sets of the full-language pruning rounds."""
+    """Stabilized keep-sets of the full-language pruning rounds.
+
+    Each round ranks successors by their residual languages in the
+    automaton as it stood at the start of the round.  residual_order
+    explores one subset graph from all singletons {q} with a shared
+    index and refines it once into blocks of equal language: successors
+    whose singletons share a block tie, and the others are ordered by
+    one pair search on the block quotient.  A round thus costs one
+    determinization however many choices it compares, and since the
+    order depends only on the languages, the keep-sets are those of
+    determinizing and comparing every residual on its own.
+    """
     nfa = inst.nfa
     transitions = {k: set(v) for k, v in nfa.transitions.items()}
     while True:
-        residuals = [
-            determinize(
-                Nfa(nfa.n_states, nfa.alphabet, transitions, {q}, nfa.accepting)
-            )
-            for q in range(nfa.n_states)
-        ]
-        removed = False
-        for key, succ in transitions.items():
-            if len(succ) < 2:
-                continue
-            best = []
-            for p in sorted(succ):
-                if not best:
-                    best = [p]
-                    continue
-                cmp, _ = compare_shortlex(residuals[p], residuals[best[0]])
-                if cmp > 0:
-                    best = [p]
-                elif cmp == 0:
-                    best.append(p)
-            if set(best) != succ:
-                transitions[key] = set(best)
-                removed = True
-        if not removed:
+        current = Nfa(nfa.n_states, nfa.alphabet, transitions, (), nfa.accepting)
+        if not _keep_best(transitions, residual_order(current)):
             return transitions
 
 
@@ -137,8 +155,6 @@ def prune_weakly_dominant(inst):
     # Sanity: in the stabilized automaton, states reached together by the
     # same word have the same residual language, so a determinization
     # subset that touches the accepting set lies inside it.
-    from collections import deque
-
     seen = {frozenset([inst.initial])}
     queue = deque(seen)
     while queue:
@@ -181,20 +197,10 @@ def diagnose_bounded(inst, bound):
         for q in range(nfa.n_states):
             sub = Nfa(nfa.n_states, nfa.alphabet, transitions, {q}, nfa.accepting)
             residuals.append(set(enumerate_upto(sub, n)))
-        for key, succ in sorted(transitions.items()):
-            if len(succ) < 2:
-                continue
-            best = []
-            for p in sorted(succ):
-                if not best:
-                    best = [p]
-                    continue
-                cmp = _finite_set_cmp(residuals[p], residuals[best[0]], nfa.alphabet)
-                if cmp > 0:
-                    best = [p]
-                elif cmp == 0:
-                    best.append(p)
-            transitions[key] = set(best)
+        _keep_best(
+            transitions,
+            lambda p, q: _finite_set_cmp(residuals[p], residuals[q], nfa.alphabet),
+        )
     messages = []
     for key in sorted(full):
         if transitions[key] != full[key]:

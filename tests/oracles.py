@@ -861,3 +861,48 @@ def brute_force_best_online(inst, max_len, budget=200000):
                 words.update((a,) + w for w in best[(choice, d - 1)])
             best[(q, d)] = frozenset(words)
     return set(best[(inst.initial, max_len)])
+
+
+def pruning_keep_sets(inst):
+    """Keep-sets of the full-language pruning rounds on an online instance.
+
+    Every round freezes the transitions, then compares the residual
+    languages of two successors p and q by a breadth-first search over
+    pairs (S, T) of subsets reached from ({p}, {q}) by the same word, in
+    alphabet order; the first pair that disagrees on acceptance is
+    reached by the shortlex least word in the symmetric difference, and
+    the side accepting it has the greater language.  A successor is kept
+    when no other successor of its choice is greater.  Rounds repeat
+    until nothing is removed.
+    """
+    nfa = inst.nfa
+    keep = {key: frozenset(targets) for key, targets in nfa.transitions.items()}
+
+    def greater_or_equal(p, q, frozen):
+        start = (frozenset([p]), frozenset([q]))
+        seen = {start}
+        queue = [start]
+        for left, right in queue:
+            in_left = bool(left & nfa.accepting)
+            if in_left != bool(right & nfa.accepting):
+                return in_left
+            for a in nfa.alphabet:
+                pair = tuple(
+                    frozenset(t for s in side for t in frozen.get((s, a), ()))
+                    for side in (left, right)
+                )
+                if pair not in seen:
+                    seen.add(pair)
+                    queue.append(pair)
+        return True
+
+    while True:
+        frozen = dict(keep)
+        keep = {
+            key: frozenset(
+                p for p in targets if all(greater_or_equal(p, q, frozen) for q in targets)
+            )
+            for key, targets in frozen.items()
+        }
+        if keep == frozen:
+            return {key: set(targets) for key, targets in keep.items()}

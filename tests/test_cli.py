@@ -718,6 +718,29 @@ def test_closed_stdout_exits_3_without_traceback(argv, unbuffered):
     assert "BrokenPipeError" not in proc.stderr
 
 
+def test_help_into_closed_stdout_exits_3_quietly():
+    # argparse writes the help into the stdout buffer and exits; the
+    # failing flush of that buffer is reported like any other closed
+    # stdout, not by the interpreter at shutdown
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfgame", "--help"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_bad_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])

@@ -18,9 +18,11 @@ from cfgame.automata import dfa_to_dict, is_prefix_free, nfa_to_dict, regex_to_n
 from cfgame.fixtures import fixture, fixture_names
 from cfgame.games import classify, dump_game, to_prefix_free
 from cfgame.generators import random_game
+from cfgame.online import OnlineInstance, _pruned_transitions, prune_weakly_dominant
 from cfgame.play import dump_strategy, strongly_regular_automaton
 from cfgame.synthesis import (
     build_inducing_automaton,
+    build_ne,
     effect_fixpoint,
     synthesize_weakly_dominant,
 )
@@ -298,3 +300,67 @@ SYNTHESIS_GOLDEN = {
 @pytest.mark.parametrize("case", SYNTHESIS_CASES)
 def test_synthesis_digest_golden(case):
     assert synthesis_digest(case) == SYNTHESIS_GOLDEN[case]
+
+
+# Online pruning of the NE subset automaton on the synthesis benchmark
+# games: the keep-sets of the pruning rounds and the pruned DFA.  These
+# instances have up to a few dozen states with many choices, well past
+# what the 4-state games above reach.
+
+PRUNING_PARAMS = {
+    "alphabet": 3,
+    "target_states": 6,
+    "rule_length": 3,
+    "constraints": ["prefix_free", "finite_replacement"],
+}
+
+
+def pruning_digest(seed):
+    game = random_game(PRUNING_PARAMS, seed)
+    inst = OnlineInstance(build_ne(game, effect_fixpoint(game)).nfa)
+    keep = _pruned_transitions(inst)
+    digest = hashlib.sha256()
+    for text in (
+        json.dumps([[q, a, sorted(t)] for (q, a), t in sorted(keep.items())]),
+        json.dumps(dfa_to_dict(prune_weakly_dominant(inst))),
+    ):
+        digest.update(text.encode("utf-8") + b"\0")
+    return digest.hexdigest()[:16]
+
+
+# recorded before the pruning rounds shared one subset graph
+PRUNING_GOLDEN = {
+    1000: "7b2fbdddd20c5081",
+    1001: "87344bac06aa5cc5",
+    1002: "4a595cb5990b91ef",
+    1003: "328d08e8eafbe3fc",
+    1004: "627bb427483ce148",
+    1005: "c103b666443c7f1b",
+    1006: "c373875b9655cbf1",
+    1007: "ed31b509730a22a3",
+    1008: "3da2bbe328639f09",
+    1009: "47d7f9f557746ae6",
+    1010: "0682a303d21c3692",
+    1011: "9063fa8d7aedc0ea",
+    1012: "258612fd3f12edac",
+    1013: "55c3cc97a80dae8d",
+    1014: "f2c1085b64d3d1e8",
+    1015: "cb52d1fa555936a4",
+    1016: "87e8b0757d571c93",
+    1017: "17894619a5153dbd",
+    1018: "cb347b52705b0f76",
+    1019: "019342877d88908d",
+    1020: "df3d0ce45ffba04d",
+    1021: "d1b8d0b14a752bc8",
+    1022: "06083790e44bb6aa",
+    1023: "a96e3305f28b76d4",
+    1024: "007e937001362549",
+    1025: "ab1b3a1fc78c6fe1",
+    1026: "7c936c22c97fd6ae",
+    1027: "296166d0b6d8ea29",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PRUNING_GOLDEN))
+def test_pruning_digest_golden(seed):
+    assert pruning_digest(seed) == PRUNING_GOLDEN[seed]

@@ -10,12 +10,13 @@ from cfgame.automata import Dfa, Nfa, enumerate_upto, shortlex_key
 from cfgame.online import (
     OnlineFormatError,
     OnlineInstance,
+    _pruned_transitions,
     diagnose_bounded,
     dump_online_instance,
     load_online_instance,
     prune_weakly_dominant,
 )
-from oracles import brute_force_best_online, online_win_set
+from oracles import brute_force_best_online, online_win_set, pruning_keep_sets
 
 
 def set_cmp(s1, s2, alphabet):
@@ -50,6 +51,19 @@ def tiny_instances(draw):
                 st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
             )
             transitions[(q, a)] = succ
+    accepting = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return OnlineInstance(Nfa(n, alphabet, transitions, {0}, accepting))
+
+
+@st.composite
+def total_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    alphabet = ("a", "b", "c")[: draw(st.integers(min_value=2, max_value=3))]
+    transitions = {
+        (q, a): draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+        for q in range(n)
+        for a in alphabet
+    }
     accepting = draw(st.sets(st.integers(0, n - 1), max_size=n))
     return OnlineInstance(Nfa(n, alphabet, transitions, {0}, accepting))
 
@@ -173,6 +187,12 @@ def test_pruning_beats_every_table(inst, seed):
         table = random_table(inst, 3, rng)
         other = set(online_win_set(inst, table, 3))
         assert set_cmp(other, won, inst.alphabet) <= 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(total_instances())
+def test_pruned_transitions_match_the_oracle(inst):
+    assert _pruned_transitions(inst) == pruning_keep_sets(inst)
 
 
 def test_online_win_set_table_agrees_with_dfa():
