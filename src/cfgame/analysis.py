@@ -15,6 +15,7 @@ from collections import deque
 
 from .automata import (
     Nfa,
+    coaccessible_states,
     complement,
     determinize,
     minimize,
@@ -377,7 +378,8 @@ def exists_winning_sreg(game, word, mode="dfs", budget=2 ** 20):
 
     Returns the strategy, or None when no reroute set wins.  Modes: "dfs"
     branches only on the reroute decisions that plays actually run into
-    and raises BudgetExceeded past budget search nodes; "incremental"
+    and raises BudgetExceeded past budget search nodes, counting only the
+    nodes it simulates, not the subtrees it cuts; "incremental"
     tries reroute sets by size first, so it returns a smallest winning
     set, and raises BudgetExceeded when the 2^k reroute sets exceed the
     budget.
@@ -413,9 +415,30 @@ def _dfs_sreg(game, word, budget):
     some play ran into; flipping one of those to a call is the only way
     to change anything, so the search branches exactly there.  Each
     simulation derives only the facts the plays on the word reach.
+
+    Two cuts drop subtrees that provably hold no winner, so the first
+    winner in search order is the one the uncut search finds.  A target
+    state is dead when no accepting state is reachable from it; a play
+    that enters one loses whatever comes next, since reads keep it dead
+    and calls do not move the target.
+
+      * The simulation stops at the first word position after which the
+        play has certainly lost: some configuration there can go on
+        forever, or some play sits in a dead state.  The decisions it
+        reports are those met up to that position.  Every child flips a
+        decision met later, so it plays the same up to there and loses
+        too.
+      * A decision at a dead state only changes plays that have already
+        lost, so a winner keeps winning when it is set either way.  If
+        every reported decision is at a dead state, resetting them to
+        read turns any winner below this node into this node's losing
+        strategy: there is none.  Once a child that flipped a decision
+        at a dead state fails, every later sibling (which reads it)
+        would have a winner only if that child had one: stop there.
     """
     rules = game.rules
     accepting = game.target.accepting
+    dead = set(range(game.target.n_states)) - coaccessible_states(game.target)
     keys = _KeyIndex(game)
     nodes = 0
 
@@ -439,10 +462,10 @@ def _dfs_sreg(game, word, budget):
                 seen.append(p)
 
         current = {0}
-        lost = False
         for a in word:
             rel.demand([(i, a) for i in current])
             nxt = set()
+            lost = False
             for i in sorted(current):
                 note(i, a)
                 if (i, a) in rel.calls:
@@ -453,14 +476,17 @@ def _dfs_sreg(game, word, budget):
                     lost = True
                 nxt.update(rel.move[(i, a)])
             current = nxt
-        if not lost:
-            lost = any(rel.target_of(i) not in accepting for i in current)
-        return not lost, seen, strategy
+            if lost or any(rel.target_of(i) in dead for i in current):
+                return False, seen, strategy
+        win = all(rel.target_of(i) in accepting for i in current)
+        return win, seen, strategy
 
     def search(decided):
         win, seen, strategy = simulate(decided)
         if win:
             return strategy
+        if all(q in dead for q, _ in seen):
+            return None
         # Keeping a reached decision on "read" reproduces the simulation
         # we just ran, so only the flips are new search states.
         for idx, pair in enumerate(seen):
@@ -469,7 +495,7 @@ def _dfs_sreg(game, word, budget):
                 trial[earlier] = False
             trial[pair] = True
             result = search(trial)
-            if result is not None:
+            if result is not None or pair[0] in dead:
                 return result
         return None
 

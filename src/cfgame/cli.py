@@ -537,8 +537,17 @@ def cmd_export(args):
 # Parser.
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose failed writes reach main: argparse drops
+    the error of writing --help into a closed, unbuffered stdout."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfgame",
         description="Context-free rewriting games: play, decide, synthesize.",
     )

@@ -172,6 +172,17 @@ def test_exists_winning_sreg_budget():
     assert exists_winning_sreg(game, ("c",), mode="dfs", budget=3) is not None
 
 
+def test_exists_winning_sreg_budget_counts_only_simulated_nodes():
+    # subtrees that cannot win are cut unsimulated: the uncut search
+    # needed 484 nodes for the first formula and 275 for the second
+    unsat = CnfFormula(2, [(1, 2, 2), (1, -2, -2), (-1, 2, 2), (-1, -2, -2)])
+    game, word = from_3sat(unsat)
+    assert exists_winning_sreg(game, word, budget=100) is None
+    game, word = from_3sat(CnfFormula(3, [(3, 1, -2), (-2, -3, -2)]))
+    found = exists_winning_sreg(game, word, budget=50)
+    assert found is not None and is_winning(game, found, word)
+
+
 def test_exists_winning_sreg_rejects_unknown_modes():
     game = fixture("sandbox").game
     for mode in ("exhaustive", "auto"):
@@ -486,6 +497,48 @@ def test_dfs_matches_exhaustive(data):
     if b is not None:
         assert is_winning(game, b, word)
         assert brute_force_outcome(game, b, word) == WIN
+
+
+def test_dfs_branches_past_an_infinite_play():
+    # reading a at 0 falls into the sink; calling a there replays ba at 0
+    # forever unless b is called too, and b's reply c reaches the accepting
+    # state: the search must still branch on the decision at (0, b) that
+    # the infinite play ran into
+    target = Dfa(
+        3,
+        ("a", "b", "c"),
+        {
+            (0, "a"): 2,
+            (0, "b"): 0,
+            (0, "c"): 1,
+            (1, "a"): 1,
+            (1, "b"): 1,
+            (1, "c"): 1,
+            (2, "a"): 2,
+            (2, "b"): 2,
+            (2, "c"): 2,
+        },
+        0,
+        {1},
+    )
+    game = Game(("a", "b", "c"), {"a": "ba", "b": "c"}, target)
+    assert not is_winning(game, strongly_regular_automaton(game, [(0, "a")]), ("a",))
+    found = exists_winning_sreg(game, ("a",))
+    assert found is not None and found.reroutes == frozenset({(0, "a"), (0, "b")})
+
+
+@settings(deadline=None, max_examples=400)
+@given(data=st.data())
+def test_dfs_matches_incremental_on_infinite_plays(data):
+    # regex rules can pump a play forever, which the brute-force referee
+    # cannot follow; the incremental search is the reference instead
+    game = data.draw(st.one_of(small_finite_games(), small_regex_games()))
+    word = tuple(data.draw(st.lists(st.sampled_from(game.alphabet), max_size=5)))
+    found = exists_winning_sreg(game, word, mode="dfs")
+    smallest = exists_winning_sreg(game, word, mode="incremental")
+    assert (found is None) == (smallest is None)
+    if found is not None:
+        assert is_winning(game, found, word)
 
 
 @settings(deadline=None, max_examples=30)

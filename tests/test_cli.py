@@ -718,21 +718,24 @@ def test_closed_stdout_exits_3_without_traceback(argv, unbuffered):
     assert "BrokenPipeError" not in proc.stderr
 
 
-def test_help_into_closed_stdout_exits_3_quietly():
-    # argparse writes the help into the stdout buffer and exits; the
-    # failing flush of that buffer is reported like any other closed
-    # stdout, not by the interpreter at shutdown
-    env = package_env()
-    env.pop("PYTHONUNBUFFERED", None)
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["classify", "--help"]], ids=["help", "classify-help"]
+)
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_help_into_closed_stdout_exits_3_quietly(unbuffered, argv):
+    # buffered, argparse writes the help into the stdout buffer and
+    # exits, and the failing flush of that buffer is reported like any
+    # other closed stdout, not by the interpreter at shutdown; unbuffered,
+    # the failing write itself must reach main
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "cfgame", "--help"],
+            [sys.executable, "-m", "cfgame", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
-            env=env,
+            env=dict(package_env(), PYTHONUNBUFFERED=unbuffered),
             timeout=120,
         )
     finally:

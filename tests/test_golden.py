@@ -10,14 +10,15 @@ prefix-freeness witnesses.  Cases are the fixtures and random_game seeds
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from cfgame.analysis import losing_nfa
+from cfgame.analysis import exists_winning_sreg, losing_nfa
 from cfgame.automata import dfa_to_dict, is_prefix_free, nfa_to_dict, regex_to_nfa
 from cfgame.fixtures import fixture, fixture_names
 from cfgame.games import classify, dump_game, to_prefix_free
-from cfgame.generators import random_game
+from cfgame.generators import from_3sat, random_game
 from cfgame.online import OnlineInstance, _pruned_transitions, prune_weakly_dominant
 from cfgame.play import dump_strategy, strongly_regular_automaton
 from cfgame.synthesis import (
@@ -26,6 +27,7 @@ from cfgame.synthesis import (
     effect_fixpoint,
     synthesize_weakly_dominant,
 )
+from oracles import small_formulas
 
 RANDOM_PARAMS = {
     "plain": {},
@@ -364,3 +366,51 @@ PRUNING_GOLDEN = {
 @pytest.mark.parametrize("seed", sorted(PRUNING_GOLDEN))
 def test_pruning_digest_golden(seed):
     assert pruning_digest(seed) == PRUNING_GOLDEN[seed]
+
+
+# Reroute sets found by the depth-first sreg search: every criterion-05
+# formula, and random games with three seeded words each.  Any pruning of
+# the search must keep the first winner in search order.
+
+
+def _sreg_digest(instances):
+    digest = hashlib.sha256()
+    for game, word in instances:
+        found = exists_winning_sreg(game, word, mode="dfs")
+        reroutes = None if found is None else sorted(found.reroutes)
+        digest.update(json.dumps(reroutes).encode("utf-8") + b"\0")
+    return digest.hexdigest()[:16]
+
+
+def _sreg_formula_instances():
+    for phi in small_formulas(1) + small_formulas(2):
+        yield from_3sat(phi)
+
+
+def _sreg_random_instances():
+    for seed in range(300):
+        rng = random.Random(seed)
+        params = {
+            "alphabet": rng.randint(2, 3),
+            "target_states": rng.randint(2, 5),
+            "rule_length": rng.randint(1, 3),
+        }
+        if seed % 2:
+            params["constraints"] = ["finite_replacement"]
+        game = random_game(params, seed)
+        for _ in range(3):
+            length = rng.randint(0, 6)
+            yield game, tuple(rng.choice(game.alphabet) for _ in range(length))
+
+
+# recorded before the search cut subtrees that cannot win
+SREG_FORMULA_GOLDEN = "91a386c81fa0db5d"
+SREG_RANDOM_GOLDEN = "b2b2a0d500c40ce9"
+
+
+def test_sreg_formula_reroutes_golden():
+    assert _sreg_digest(_sreg_formula_instances()) == SREG_FORMULA_GOLDEN
+
+
+def test_sreg_random_reroutes_golden():
+    assert _sreg_digest(_sreg_random_instances()) == SREG_RANDOM_GOLDEN
