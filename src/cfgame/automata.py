@@ -570,32 +570,69 @@ def residual_order(nfa):
 
     Returns cmp(p, q): -1, 0 or 1 as the language accepted from {p} is
     less than, equal to or greater than the one accepted from {q}, in the
-    order of compare_shortlex.  One subset graph, explored from all
-    singletons with a shared index, and one Moore refinement over it
-    serve every pair: two residuals are equal exactly when their
-    singletons share a block, and unequal ones are ordered by a pair
-    search on the block quotient.
+    order of compare_shortlex.  Each call is Hopcroft and Karp's check up
+    to equivalence (Bonchi and Pous, POPL 2013): a breadth-first search
+    over pairs of subsets reached by one word from ({p}, {q}), expanding
+    in alphabet order, that skips a pair whose sides are already in one
+    union-find class, returns at the first pair whose sides disagree on
+    acceptance (1 when the left side accepts) and otherwise unions the
+    sides and enqueues their successors.  The union-find and a memo of
+    subset steps are shared by all calls; a call that ends in 0 commits
+    its unions, which then join subsets of equal language, and a call
+    that finds a difference discards them.
+
+    The first disagreeing pair sits at the shortlex least word w* of the
+    symmetric difference.  Pairs leave the queue in shortlex order of
+    their access words, and a pair with an access word before w* agrees
+    on acceptance, so only a skipped pair on the path of w* could hide
+    it.  Say the pair (X, Y) at the prefix u of w* = u.v is skipped.
+    X and Y are joined by a chain of links, each a processed pair whose
+    access word u_i comes before u or two subsets of equal language.
+    X.v and Y.v disagree on acceptance, so the two sides of some link
+    do after v, and that link is a processed pair (S_i, T_i).  Then
+    u_i.v is in the symmetric difference, and since u_i comes before u
+    and both are followed by v, u_i.v comes before w*: a contradiction.
     """
-    singletons = [frozenset([q]) for q in range(nfa.n_states)]
-    count, transitions, accepting = _subset_graph(nfa, singletons)
-    block = _moore_blocks(range(count), nfa.alphabet, transitions, accepting)
-    quotient = {(block[i], a): block[j] for (i, a), j in transitions.items()}
-    final = {block[i] for i in accepting}
+    alphabet = nfa.alphabet
+    accepting = nfa.accepting
+    steps = {}
+    equal = {}  # union-find parent links between subsets of equal language
+
+    def step(subset, a):
+        nxt = steps.get((subset, a))
+        if nxt is None:
+            nxt = steps[(subset, a)] = nfa.step_set(subset, a)
+        return nxt
 
     def cmp(p, q):
-        # the singleton {q} is subset number q
-        b1, b2 = block[p], block[q]
-        if b1 == b2:
-            return 0
-        word = _shortlex_path(
-            (b1, b2),
-            lambda pair, a: (quotient[(pair[0], a)], quotient[(pair[1], a)]),
-            nfa.alphabet,
-            lambda pair: (pair[0] in final) != (pair[1] in final),
-        )
-        for a in word:
-            b1 = quotient[(b1, a)]
-        return 1 if b1 in final else -1
+        tentative = {}  # links between roots of equal, committed on 0
+
+        def find(subset):
+            root = subset
+            while root in equal:
+                root = equal[root]
+            while subset in equal:  # path compression within equal
+                parent = equal[subset]
+                equal[subset] = root
+                subset = parent
+            while root in tentative:
+                root = tentative[root]
+            return root
+
+        queue = deque([(frozenset([p]), frozenset([q]))])
+        while queue:
+            left, right = queue.popleft()
+            root, other = find(left), find(right)
+            if root == other:
+                continue
+            in_left = not accepting.isdisjoint(left)
+            if in_left == accepting.isdisjoint(right):
+                return 1 if in_left else -1
+            tentative[root] = other
+            for a in alphabet:
+                queue.append((step(left, a), step(right, a)))
+        equal.update(tentative)
+        return 0
 
     return cmp
 

@@ -370,7 +370,10 @@ def cmd_online_prune(args):
         "pruned": dfa_to_dict(pruned),
     }
     if args.diagnose_bounded is not None:
-        details["diagnose_bounded"] = diagnose_bounded(inst, args.diagnose_bounded)
+        try:
+            details["diagnose_bounded"] = diagnose_bounded(inst, args.diagnose_bounded)
+        except ValueError as exc:
+            raise CliError("--diagnose-bounded: %s" % exc)
     if args.dot:
         _write_text(args.dot, to_dot(pruned, name="pruned"))
         details["dot"] = args.dot

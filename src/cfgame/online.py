@@ -6,12 +6,13 @@ accepting state.  Removing transitions until every remaining choice has
 the shortlex-greatest residual language leaves a deterministic
 sub-automaton that is a weakly dominant way of playing.
 
-Pruning goes in rounds.  A round explores one subset graph from all
-singletons {q} of the current automaton, with one shared index, and
-refines it once into blocks of equal language (automata.residual_order).
-Two successors are then equal when their singletons share a block, and
-unequal ones are ordered by one pair search on the block quotient.  Each
-choice keeps its greatest successors; rounds repeat until none changes.
+Pruning goes in rounds.  A round compares two successors p and q of
+a choice by a breadth-first search over pairs of subsets reached from
+({p}, {q}) by one word, up to the subsets already proven equal
+(automata.residual_order): the first pair that disagrees on acceptance
+orders them, and a search that finds none proves them equal for the
+rest of the round.  Each choice keeps its greatest successors; rounds
+repeat until none changes.
 """
 
 from collections import deque
@@ -123,13 +124,14 @@ def _pruned_transitions(inst):
 
     Each round ranks successors by their residual languages in the
     automaton as it stood at the start of the round.  residual_order
-    explores one subset graph from all singletons {q} with a shared
-    index and refines it once into blocks of equal language: successors
-    whose singletons share a block tie, and the others are ordered by
-    one pair search on the block quotient.  A round thus costs one
-    determinization however many choices it compares, and since the
-    order depends only on the languages, the keep-sets are those of
-    determinizing and comparing every residual on its own.
+    searches the pairs of subsets reached from the two singletons by the
+    same word, in shortlex order, and stops at the first pair that
+    disagrees on acceptance.  Pairs whose subsets are already joined by
+    processed pairs or by an earlier proof of equality are skipped, so a
+    round explores only the subsets its comparisons need, and a tie
+    proven once serves the rest of the round.  Since the order depends
+    only on the languages, the keep-sets are those of determinizing and
+    comparing every residual on its own.
     """
     nfa = inst.nfa
     transitions = {k: set(v) for k, v in nfa.transitions.items()}
@@ -186,8 +188,11 @@ def diagnose_bounded(inst, bound):
     Returns a list of divergence messages, empty when the truncated
     iteration stopped at the same keep-sets the full-language rounds
     reach.  A nonempty report usually means the bound is too small for
-    the instance, not that either scheme is wrong.
+    the instance, not that either scheme is wrong.  A negative bound
+    raises ValueError.
     """
+    if bound < 0:
+        raise ValueError("the bound must be at least 0, got %d" % bound)
     inst = _as_instance(inst)
     nfa = inst.nfa
     full = _pruned_transitions(inst)

@@ -87,15 +87,15 @@ class EffectSet:
         return best
 
 
-def _winning_scan(game, effects, p, a, target_states, below):
+def _winning_scan(game, effects, p, a, live, target_states, below):
     """Choice map guaranteeing that scanning any reply to a drives the
-    target from p into target_states, or None when no scan does.
+    target from p into target_states, or None when no scan does.  live
+    is coaccessible_states(game.replacement_dfa(a)).
 
     The map sends (possible target states, reply state, symbol) to the
     chosen next set of possible target states.
     """
     rdfa = game.replacement_dfa(a)
-    live = coaccessible_states(rdfa)
     if rdfa.initial not in live:
         return None
     start = (frozenset([p]), rdfa.initial)
@@ -176,6 +176,10 @@ def effect_fixpoint(game, cap=10):
             "target has %d states, above the synthesis cap of %d" % (n, cap)
         )
     effects = EffectSet(game)
+    live = {
+        a: coaccessible_states(game.replacement_dfa(a))
+        for a in game.function_symbols
+    }
     stratum = 0
     admitted = True
     while admitted:
@@ -187,7 +191,9 @@ def effect_fixpoint(game, cap=10):
                     s = frozenset(q for q in range(n) if mask >> q & 1)
                     if effects.fitting(p, a, s) is not None:
                         continue
-                    choice = _winning_scan(game, effects, p, a, s, below=stratum)
+                    choice = _winning_scan(
+                        game, effects, p, a, live[a], s, below=stratum
+                    )
                     if choice is not None:
                         effects.stored.setdefault((p, a), []).append(s)
                         effects.stratum[(p, a, s)] = stratum

@@ -863,44 +863,57 @@ def brute_force_best_online(inst, max_len, budget=200000):
     return set(best[(inst.initial, max_len)])
 
 
+def residual_cmp(transitions, accepting, alphabet, p, q):
+    """Shortlex order on the residual languages of states p and q of an
+    NFA given by its transitions, (state, symbol) -> states, and its
+    accepting states: -1, 0 or 1 as the language from p is less than,
+    equal to or greater than the one from q.
+
+    A breadth-first search over pairs (S, T) of subsets reached from
+    ({p}, {q}) by the same word, in alphabet order; the first pair that
+    disagrees on acceptance is reached by the shortlex least word in the
+    symmetric difference, and the side accepting it has the greater
+    language.
+    """
+    start = (frozenset([p]), frozenset([q]))
+    seen = {start}
+    queue = [start]
+    for left, right in queue:
+        in_left = bool(left & accepting)
+        if in_left != bool(right & accepting):
+            return 1 if in_left else -1
+        for a in alphabet:
+            pair = tuple(
+                frozenset(t for s in side for t in transitions.get((s, a), ()))
+                for side in (left, right)
+            )
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return 0
+
+
 def pruning_keep_sets(inst):
     """Keep-sets of the full-language pruning rounds on an online instance.
 
-    Every round freezes the transitions, then compares the residual
-    languages of two successors p and q by a breadth-first search over
-    pairs (S, T) of subsets reached from ({p}, {q}) by the same word, in
-    alphabet order; the first pair that disagrees on acceptance is
-    reached by the shortlex least word in the symmetric difference, and
-    the side accepting it has the greater language.  A successor is kept
-    when no other successor of its choice is greater.  Rounds repeat
-    until nothing is removed.
+    Every round freezes the transitions and compares the residual
+    languages of the successors of each choice by residual_cmp.  A
+    successor is kept when no other successor of its choice is greater.
+    Rounds repeat until nothing is removed.
     """
     nfa = inst.nfa
     keep = {key: frozenset(targets) for key, targets in nfa.transitions.items()}
-
-    def greater_or_equal(p, q, frozen):
-        start = (frozenset([p]), frozenset([q]))
-        seen = {start}
-        queue = [start]
-        for left, right in queue:
-            in_left = bool(left & nfa.accepting)
-            if in_left != bool(right & nfa.accepting):
-                return in_left
-            for a in nfa.alphabet:
-                pair = tuple(
-                    frozenset(t for s in side for t in frozen.get((s, a), ()))
-                    for side in (left, right)
-                )
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
-        return True
 
     while True:
         frozen = dict(keep)
         keep = {
             key: frozenset(
-                p for p in targets if all(greater_or_equal(p, q, frozen) for q in targets)
+                p
+                for p in targets
+                if all(
+                    residual_cmp(frozen, nfa.accepting, nfa.alphabet, p, q) >= 0
+                    for q in targets
+                )
             )
             for key, targets in frozen.items()
         }

@@ -26,6 +26,7 @@ from cfgame.automata import (
     regex_symbols,
     regex_to_nfa,
     regex_to_text,
+    residual_order,
     shortlex_min_word,
     subset_witness,
     to_dot,
@@ -40,6 +41,7 @@ from oracles import (
     finite_language,
     live_states,
     nerode_is_minimal,
+    residual_cmp,
     words_upto,
 )
 
@@ -233,6 +235,39 @@ def test_compare_shortlex_against_enumeration(d1, d2):
             assert cmp_result == 1
         else:
             assert cmp_result == -1
+
+
+@st.composite
+def residual_queries(draw):
+    """An NFA with 1-7 states over 2-3 symbols, and every ordered pair of
+    its states in a drawn order, some of them asked twice."""
+    alphabet = ("a", "b", "c")[: draw(st.integers(2, 3))]
+    nfa = draw(nfas(alphabet=alphabet, max_states=7))
+    pairs = [(p, q) for p in range(nfa.n_states) for q in range(nfa.n_states)]
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    return nfa, draw(st.permutations(pairs + repeats))
+
+
+@given(residual_queries())
+@settings(deadline=None, max_examples=300)
+def test_residual_order_matches_pair_search(query):
+    # one cmp answers every question, so proofs of equality made by
+    # earlier questions serve the later ones
+    nfa, pairs = query
+    cmp = residual_order(nfa)
+    for p, q in pairs:
+        expected = residual_cmp(nfa.transitions, nfa.accepting, nfa.alphabet, p, q)
+        assert cmp(p, q) == expected, (p, q)
+
+
+def test_residual_order_forgets_the_unions_of_an_unequal_comparison():
+    # the search from ({0}, {1}) unions ({0}, {1}) and ({2}, {3}) before
+    # ({4}, {5}) tells "aa" apart; those unions must not outlive it
+    transitions = {(0, "a"): {2}, (1, "a"): {3}, (2, "a"): {4}, (3, "a"): {5}}
+    cmp = residual_order(Nfa(6, ("a",), transitions, (), {4}))
+    assert cmp(0, 1) == 1
+    assert cmp(2, 3) == 1
+    assert cmp(1, 0) == -1
 
 
 @given(dfas())

@@ -467,6 +467,15 @@ def test_online_prune_matches_library(tmp_path, capsys):
     assert data["pruned"] == dfa_to_dict(prune_weakly_dominant(inst))
 
 
+def test_online_prune_rejects_a_negative_bound(tmp_path, capsys):
+    path = tmp_path / "online.json"
+    path.write_text(dump_online_instance(total_online_instance()))
+    code, data = run_json(capsys, "online-prune", str(path), "--diagnose-bounded", "-1")
+    assert code == 2
+    assert data["exit"] == 2
+    assert "diagnose_bounded" not in data
+
+
 # ---------------------------------------------------------------------------
 # Error handling and output modes.
 

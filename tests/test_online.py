@@ -153,6 +153,15 @@ def test_diagnose_reports_a_too_small_bound():
     assert diagnose_bounded(inst, 3) == []
 
 
+def test_diagnose_rejects_a_negative_bound():
+    inst = OnlineInstance(
+        Nfa(2, ("a",), {(0, "a"): {0, 1}, (1, "a"): {1}}, {0}, {1})
+    )
+    with pytest.raises(ValueError):
+        diagnose_bounded(inst, -1)
+    assert diagnose_bounded(inst, 0) == []
+
+
 def test_exhaustive_two_state_sweep():
     # Every two-state instance over {a, b} with initial state 0.  This
     # pits the fixpoint pruning against the dynamic program on the
