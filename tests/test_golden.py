@@ -304,6 +304,66 @@ def test_synthesis_digest_golden(case):
     assert synthesis_digest(case) == SYNTHESIS_GOLDEN[case]
 
 
+# Larger games pin the choice maps past what the 4-state cases reach: the
+# synth-pf benchmark games at 6 target states, and the same draw at 7.
+
+LARGE_SYNTHESIS_PARAMS = {
+    "alphabet": 3,
+    "rule_length": 3,
+    "constraints": ["prefix_free", "finite_replacement"],
+}
+RANDOM_PARAMS["pf6"] = dict(LARGE_SYNTHESIS_PARAMS, target_states=6)
+RANDOM_PARAMS["pf7"] = dict(LARGE_SYNTHESIS_PARAMS, target_states=7)
+
+# recorded before the effect fixpoint solved each scan graph for every
+# target set at once
+LARGE_SYNTHESIS_GOLDEN = {
+    "random:pf6/1000": "aac3ab5b7534ba4b",
+    "random:pf6/1001": "129b3b0a12513d8d",
+    "random:pf6/1002": "0aa881e0115f6f0a",
+    "random:pf6/1003": "899d62a4d4f7d377",
+    "random:pf6/1004": "ef3e15681c1f282d",
+    "random:pf6/1005": "6174e472f45da072",
+    "random:pf6/1006": "70c0dcbae80a3426",
+    "random:pf6/1007": "d1fa7bafe1ca2fb4",
+    "random:pf6/1008": "4fa546062e471b88",
+    "random:pf6/1009": "37d6c349ded4322d",
+    "random:pf6/1010": "c1a007c5c9f53012",
+    "random:pf6/1011": "df94269fd6de0c15",
+    "random:pf6/1012": "5eb28891900f1ae3",
+    "random:pf6/1013": "5c24b40009a6423c",
+    "random:pf6/1014": "b309b5fcfc727b5c",
+    "random:pf6/1015": "4411a0db8c750ec6",
+    "random:pf6/1016": "aac562badff77daf",
+    "random:pf6/1017": "0a611e62787172c1",
+    "random:pf6/1018": "17a154a8cc06c5cd",
+    "random:pf6/1019": "3bf120d9f723a296",
+    "random:pf6/1020": "8111d450db1a67e1",
+    "random:pf6/1021": "88f485a02ee809d4",
+    "random:pf6/1022": "d6dd1a34d52d777d",
+    "random:pf6/1023": "54fab2c3acc1082c",
+    "random:pf6/1024": "9c5678d9de46e7d8",
+    "random:pf6/1025": "6024054049e39a22",
+    "random:pf6/1026": "6156d8af3a762d1d",
+    "random:pf6/1027": "bdbc200acd3685df",
+    "random:pf7/1000": "b7af7a4043554e79",
+    "random:pf7/1001": "cd58e16190dff20f",
+    "random:pf7/1002": "3a2927d311375961",
+    "random:pf7/1003": "62ae78224d32138f",
+    "random:pf7/1004": "49cf8f7827aa12e5",
+    "random:pf7/1005": "26991eaae8300c80",
+    "random:pf7/1006": "a584b9bb312431d0",
+    "random:pf7/1007": "cc2f7359e2add3d2",
+    "random:pf7/1008": "328d217f6243103e",
+    "random:pf7/1009": "900680e03f52c9f4",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_SYNTHESIS_GOLDEN))
+def test_large_synthesis_digest_golden(case):
+    assert synthesis_digest(case) == LARGE_SYNTHESIS_GOLDEN[case]
+
+
 # Online pruning of the NE subset automaton on the synthesis benchmark
 # games: the keep-sets of the pruning rounds and the pruned DFA.  These
 # instances have up to a few dozen states with many choices, well past
