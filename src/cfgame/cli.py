@@ -337,7 +337,12 @@ def cmd_compare(args):
 
 def cmd_synthesize(args):
     game, _ = _load_game_arg(args.game)
-    strategy = synthesize_weakly_dominant(game, cap=args.cap)
+    try:
+        strategy = synthesize_weakly_dominant(game, cap=args.cap)
+    except SynthesisError:
+        raise
+    except ValueError as exc:
+        raise CliError("--cap: %s" % exc)
     dfa = strategy.automaton(game)
     details = {
         "game": _game_summary(game),

@@ -8,18 +8,20 @@ Non-trivial triples are admitted stratum by stratum; a triple admitted
 at stratum k may call nested symbols using triples from strata below k
 only, which bounds the call depth and keeps every play finite.
 
-Admission is a safety analysis over pairs (set of possible target
-states, state of the reply automaton on the raw symbols scanned so
-far).  Reading advances both components by the scanned symbol; calling
-advances the reply component by the called symbol while the target
-component jumps into the called triple's state set.  Tracking the raw
-symbol on calls is the point: the reply's membership in the replacement
-language is a fact about what the opponent wrote, not about what it was
-rewritten into.
+Admission is a safety game on the scan graph of (p, a), whose nodes
+pair the set of possible target states with the state of the reply
+automaton on the raw symbols scanned so far.  Reading advances both
+components by the scanned symbol; calling advances the reply component
+by the called symbol while the target component jumps into the called
+triple's state set.  Tracking the raw symbol on calls is the point: the
+reply's membership in the replacement language is a fact about what the
+opponent wrote, not about what it was rewritten into.  Only the leaves
+depend on the candidate target set, so each round builds one scan graph
+per (p, a) and solves it for all target sets at once, as bitsets indexed
+by target-set bitmask; candidates are then tested on integer masks.
 """
 
 from collections import deque, namedtuple
-from itertools import product as iter_product
 
 from .automata import Dfa, Nfa, coaccessible_states
 from .games import classify, hat
@@ -87,23 +89,31 @@ class EffectSet:
         return best
 
 
-def _winning_scan(game, effects, p, a, live, target_states, below):
-    """Choice map guaranteeing that scanning any reply to a drives the
-    target from p into target_states, or None when no scan does.  live
-    is coaccessible_states(game.replacement_dfa(a)).
+def _solve_scan(game, effects, p, a, live, below, upward):
+    """Scan graph of the replies to a from target state p, solved for
+    every target set at once.  live is
+    coaccessible_states(game.replacement_dfa(a)), and only triples
+    admitted below the given stratum are used.
 
-    The map sends (possible target states, reply state, symbol) to the
-    chosen next set of possible target states.
+    Nodes pair the possible target states with the reply state reached
+    on the raw symbols scanned so far.  Returns (nodes, edges, wins):
+    edges[i] lists, per symbol, the options (bitmask, set, successor
+    node) of node i, and bit m of wins[i] is set when the opponent
+    cannot force a failure from node i for the target set of bitmask m.
+    With n target states each wins has 2^n bits, 128 bytes per node at
+    the default cap of 10.
     """
     rdfa = game.replacement_dfa(a)
-    if rdfa.initial not in live:
-        return None
     start = (frozenset([p]), rdfa.initial)
-    states = {start}
-    queue = deque([start])
-    edges = {}
-    while queue:
-        members, y = queue.popleft()
+    if rdfa.initial not in live:
+        return [start], [[]], [0]  # no reply can be completed
+    nodes = [start]
+    index = {start: 0}
+    edges = []
+    preds = [[]]
+    for i, (members, y) in enumerate(nodes):
+        out = []
+        edges.append(out)
         if y in rdfa.accepting:
             # a complete reply; prefix-freeness means nothing live follows
             assert all(
@@ -114,57 +124,71 @@ def _winning_scan(game, effects, p, a, live, target_states, below):
             y2 = rdfa.transitions[(y, c)]
             if y2 not in live:
                 continue
+            opts = []
             for u in _pointwise_successors(effects, members, c, below):
-                edges.setdefault((members, y), {}).setdefault(c, set()).add(u)
-                nxt = (u, y2)
-                if nxt not in states:
-                    states.add(nxt)
-                    queue.append(nxt)
+                j = index.setdefault((u, y2), len(nodes))
+                if j == len(nodes):
+                    nodes.append((u, y2))
+                    preds.append([])
+                preds[j].append(i)
+                opts.append((_bitmask(u), u, j))
+            out.append((c, opts))
 
-    # least fixpoint of "the opponent forces a failure from here"
-    bad = set()
-    changed = True
-    while changed:
-        changed = False
-        for st in states:
-            if st in bad:
-                continue
-            members, y = st
-            if y in rdfa.accepting:
-                if not members <= target_states:
-                    bad.add(st)
-                    changed = True
-                continue
-            for c, opts in edges.get(st, {}).items():
-                y2 = rdfa.transitions[(y, c)]
-                if all((u, y2) in bad for u in opts):
-                    bad.add(st)
-                    changed = True
-                    break
-    if start in bad:
-        return None
+    # greatest fixpoint: a leaf wins the target sets containing its
+    # members, an inner node those that every symbol wins by some option
+    full = upward(0)  # every target set contains the empty set
+    wins = [
+        upward(_bitmask(members)) if y in rdfa.accepting else full
+        for members, y in nodes
+    ]
+    pending = [i for i, out in enumerate(edges) if out]
+    queued = set(pending)
+    while pending:
+        i = pending.pop()
+        queued.discard(i)
+        w = full
+        for _, opts in edges[i]:
+            some = 0
+            for _, _, j in opts:
+                some |= wins[j]
+            w &= some
+        if w != wins[i]:
+            wins[i] = w
+            for k in preds[i]:
+                if k not in queued:
+                    queued.add(k)
+                    pending.append(k)
+    return nodes, edges, wins
+
+
+def _scan_choice(nodes, edges, wins, mask):
+    """Choice map of the scan for the target set of the given bitmask:
+    (possible target states, reply state, symbol) goes to the
+    least-bitmask option that keeps the scan winning, which a winning
+    node has on every symbol."""
     choice = {}
-    for st in states:
-        if st in bad:
+    for (members, y), out, w in zip(nodes, edges, wins):
+        if not w >> mask & 1:
             continue
-        members, y = st
-        for c, opts in edges.get(st, {}).items():
-            y2 = rdfa.transitions[(y, c)]
-            good = [u for u in opts if (u, y2) not in bad]
-            if good:
-                choice[(members, y, c)] = min(good, key=_bitmask)
+        for c, opts in out:
+            good = [(m, u) for m, u, j in opts if wins[j] >> mask & 1]
+            choice[(members, y, c)] = min(good)[1]
     return choice
 
 
 def effect_fixpoint(game, cap=10):
     """Least fixpoint of the effect-triple admission operator.
 
-    Each round tests every candidate (p, a, states) against the triples
-    admitted in earlier rounds; candidates that reading or an already
-    stored subset fits inside are skipped, so the stored sets per (p, a)
-    stay inclusion-minimal.  A triple is stored as soon as it is
-    admitted, since the scan ignores triples of the current round.
+    Each round solves, for every (p, a), one scan graph over the triples
+    admitted in earlier rounds, for all target sets at once.  Candidate
+    sets are then tested as integer bitmasks in increasing order;
+    candidates that reading or an already stored subset fits inside are
+    skipped, so the stored sets per (p, a) stay inclusion-minimal.  A
+    triple is stored as soon as it is admitted, since the scan ignores
+    triples of the current round.
     """
+    if cap < 0:
+        raise ValueError("the synthesis cap must not be negative, got %d" % cap)
     report = classify(game)
     if not report.prefix_free:
         raise SynthesisError(
@@ -180,6 +204,14 @@ def effect_fixpoint(game, cap=10):
         a: coaccessible_states(game.replacement_dfa(a))
         for a in game.function_symbols
     }
+    upsets = {}
+
+    def upward(members):
+        # bit m is set when the target set of bitmask m contains members
+        if members not in upsets:
+            upsets[members] = sum(1 << m for m in range(1 << n) if m & members == members)
+        return upsets[members]
+
     stratum = 0
     admitted = True
     while admitted:
@@ -187,18 +219,23 @@ def effect_fixpoint(game, cap=10):
         admitted = False
         for a in game.function_symbols:
             for p in range(n):
+                covered = [_bitmask(opt) for opt in effects.options(p, a)]
+                scan = None
                 for mask in range(1, 1 << n):
-                    s = frozenset(q for q in range(n) if mask >> q & 1)
-                    if effects.fitting(p, a, s) is not None:
+                    if any(c & mask == c for c in covered):
                         continue
-                    choice = _winning_scan(
-                        game, effects, p, a, live[a], s, below=stratum
-                    )
-                    if choice is not None:
-                        effects.stored.setdefault((p, a), []).append(s)
-                        effects.stratum[(p, a, s)] = stratum
-                        effects.choice[(p, a, s)] = choice
-                        admitted = True
+                    if scan is None:
+                        scan = _solve_scan(
+                            game, effects, p, a, live[a], stratum, upward
+                        )
+                    if not scan[2][0] >> mask & 1:
+                        continue
+                    s = frozenset(q for q in range(n) if mask >> q & 1)
+                    effects.stored.setdefault((p, a), []).append(s)
+                    effects.stratum[(p, a, s)] = stratum
+                    effects.choice[(p, a, s)] = _scan_choice(*scan, mask)
+                    covered.append(mask)
+                    admitted = True
     return effects
 
 
@@ -240,12 +277,12 @@ class NeAutomaton:
 
 def _pointwise_successors(effects, members, c, below=None):
     """The unions of one option per member on symbol c, optionally using
-    only triples admitted below the given stratum."""
-    seen = set()
-    opts = [effects.options(q, c, below=below) for q in sorted(members)]
-    for combo in iter_product(*opts):
-        seen.add(frozenset().union(*combo))
-    return seen
+    only triples admitted below the given stratum.  Members are folded in
+    one at a time, single-option ones first, deduplicating as it goes."""
+    unions = {frozenset()}
+    for opts in sorted((effects.options(q, c, below) for q in members), key=len):
+        unions = {u | o for u in unions for o in opts}
+    return unions
 
 
 def build_ne(game, effects):

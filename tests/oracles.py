@@ -919,3 +919,109 @@ def pruning_keep_sets(inst):
         }
         if keep == frozen:
             return {key: set(targets) for key, targets in keep.items()}
+
+
+def effect_admission_by_sets(n, alphabet, delta, replies):
+    """Effect triples admitted stratum by stratum, one candidate target
+    set at a time.
+
+    For each candidate (p, a, target) the scan of the replies to a is
+    explored explicitly, with every union of one option per member as a
+    successor, and the scan nodes from which the opponent forces a
+    failure are grown to their least fixpoint by sweeps.  delta is the
+    target's transition table over states 0..n-1; replies maps each
+    function symbol to the (transitions, initial, accepting) tables of
+    its prefix-free replacement DFA.  Returns (stored, stratum, choice)
+    shaped as the fields of the library's EffectSet.
+    """
+    stored, stratum, choice = {}, {}, {}
+
+    def options(p, c, below):
+        found = [frozenset([delta[(p, c)]])]
+        for s in stored.get((p, c), []):
+            if below is None or stratum[(p, c, s)] < below:
+                found.append(s)
+        return found
+
+    def scan(p, a, target, below):
+        transitions, initial, accepting = replies[a]
+        live = set(accepting)
+        changed = True
+        while changed:
+            changed = False
+            for (y, _), t in transitions.items():
+                if t in live and y not in live:
+                    live.add(y)
+                    changed = True
+        if initial not in live:
+            return None
+        start = (frozenset([p]), initial)
+        nodes, edges, frontier = {start}, {}, [start]
+        while frontier:
+            node = frontier.pop()
+            members, y = node
+            edges[node] = []
+            if y in accepting:
+                continue
+            for c in alphabet:
+                y2 = transitions[(y, c)]
+                if y2 not in live:
+                    continue
+                picks = itertools.product(
+                    *(options(q, c, below) for q in sorted(members))
+                )
+                unions = {frozenset().union(*pick) for pick in picks}
+                edges[node].append((c, y2, unions))
+                for u in unions:
+                    if (u, y2) not in nodes:
+                        nodes.add((u, y2))
+                        frontier.append((u, y2))
+        bad = set()
+        changed = True
+        while changed:
+            changed = False
+            for node in nodes - bad:
+                members, y = node
+                if y in accepting:
+                    lost = not members <= target
+                else:
+                    lost = any(
+                        all((u, y2) in bad for u in unions)
+                        for _, y2, unions in edges[node]
+                    )
+                if lost:
+                    bad.add(node)
+                    changed = True
+        if start in bad:
+            return None
+        found = {}
+        for node in nodes - bad:
+            members, y = node
+            for c, y2, unions in edges[node]:
+                good = [u for u in unions if (u, y2) not in bad]
+                if good:
+                    found[(members, y, c)] = min(
+                        good, key=lambda u: sum(1 << q for q in u)
+                    )
+        return found
+
+    level = 0
+    grew = True
+    while grew:
+        level += 1
+        grew = False
+        for a in alphabet:
+            if a not in replies:
+                continue
+            for p in range(n):
+                for mask in range(1, 1 << n):
+                    target = frozenset(q for q in range(n) if mask >> q & 1)
+                    if any(s <= target for s in options(p, a, None)):
+                        continue
+                    found = scan(p, a, target, level)
+                    if found is not None:
+                        stored.setdefault((p, a), []).append(target)
+                        stratum[(p, a, target)] = level
+                        choice[(p, a, target)] = found
+                        grew = True
+    return stored, stratum, choice

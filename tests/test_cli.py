@@ -397,6 +397,13 @@ def test_synthesize_wants_prefix_free(tmp_path, capsys):
     assert "prefix-free" in data["error"]
 
 
+def test_synthesize_rejects_a_negative_cap(capsys):
+    code, data = run_json(capsys, "synthesize", "fixture:sandbox", "--cap", "-1")
+    assert code == 2
+    assert data["exit"] == 2
+    assert "cap" in data["error"]
+
+
 def test_transform_then_synthesize(tmp_path, capsys):
     path = tmp_path / "crooked.json"
     path.write_text(crooked_game_text())

@@ -205,13 +205,26 @@ def _canonical(value):
     return value
 
 
+SYNTH_PF_PARAMS = {
+    "alphabet": 3,
+    "rule_length": 3,
+    "constraints": ["prefix_free", "finite_replacement"],
+}
+# the synth-pf benchmark games at 6 target states, and the same draw at 7
+SYNTHESIS_PARAMS = dict(
+    RANDOM_PARAMS,
+    pf6=dict(SYNTH_PF_PARAMS, target_states=6),
+    pf7=dict(SYNTH_PF_PARAMS, target_states=7),
+)
+
+
 def _synthesis_game(case):
     kind, _, rest = case.partition(":")
     if kind == "fixture":
         game = fixture(rest).game
         return game if classify(game).prefix_free else to_prefix_free(game)
     label, seed = rest.split("/")
-    return random_game(RANDOM_PARAMS[label], int(seed))
+    return random_game(SYNTHESIS_PARAMS[label], int(seed))
 
 
 def _synthesis_texts(game):
@@ -304,19 +317,9 @@ def test_synthesis_digest_golden(case):
     assert synthesis_digest(case) == SYNTHESIS_GOLDEN[case]
 
 
-# Larger games pin the choice maps past what the 4-state cases reach: the
-# synth-pf benchmark games at 6 target states, and the same draw at 7.
-
-LARGE_SYNTHESIS_PARAMS = {
-    "alphabet": 3,
-    "rule_length": 3,
-    "constraints": ["prefix_free", "finite_replacement"],
-}
-RANDOM_PARAMS["pf6"] = dict(LARGE_SYNTHESIS_PARAMS, target_states=6)
-RANDOM_PARAMS["pf7"] = dict(LARGE_SYNTHESIS_PARAMS, target_states=7)
-
+# Larger games pin the choice maps past what the 4-state cases reach;
 # recorded before the effect fixpoint solved each scan graph for every
-# target set at once
+# target set at once.
 LARGE_SYNTHESIS_GOLDEN = {
     "random:pf6/1000": "aac3ab5b7534ba4b",
     "random:pf6/1001": "129b3b0a12513d8d",

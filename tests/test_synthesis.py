@@ -13,6 +13,7 @@ from cfgame.automata import (
 )
 from cfgame.fixtures import fixture
 from cfgame.games import Game, hat, to_prefix_free
+from cfgame.generators import random_game
 from cfgame.synthesis import (
     EffectSet,
     EffectTriple,
@@ -24,7 +25,12 @@ from cfgame.synthesis import (
     is_trivial,
     synthesize_weakly_dominant,
 )
-from oracles import WIN, best_one_pass_win_set, brute_force_outcome
+from oracles import (
+    WIN,
+    best_one_pass_win_set,
+    brute_force_outcome,
+    effect_admission_by_sets,
+)
 
 
 def set_cmp(s1, s2, alphabet):
@@ -224,6 +230,12 @@ def test_refusals():
         )
 
 
+def test_negative_cap_is_a_usage_error():
+    with pytest.raises(ValueError) as info:
+        effect_fixpoint(chain_game(), cap=-1)
+    assert not isinstance(info.value, SynthesisError)
+
+
 @st.composite
 def small_prefix_free_games(draw):
     alphabet = ("a", "b")
@@ -265,3 +277,25 @@ def test_synthesis_on_random_prefix_free_games(game):
     won = winning_set_upto(game, strat, 3)
     best = best_one_pass_win_set(game, 3, 5)
     assert set_cmp(won, best, game.alphabet) >= 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10_000),
+    states=st.integers(2, 4),
+    finite=st.booleans(),
+)
+def test_effect_fixpoint_matches_the_per_set_referee(seed, states, finite):
+    constraints = ["prefix_free"] + (["finite_replacement"] if finite else [])
+    game = random_game({"constraints": constraints, "target_states": states}, seed)
+    replies = {}
+    for a in game.function_symbols:
+        rdfa = game.replacement_dfa(a)
+        replies[a] = (rdfa.transitions, rdfa.initial, rdfa.accepting)
+    stored, stratum, choice = effect_admission_by_sets(
+        game.target.n_states, game.alphabet, game.target.transitions, replies
+    )
+    effects = effect_fixpoint(game)
+    assert effects.stored == stored
+    assert effects.stratum == stratum
+    assert effects.choice == choice
