@@ -15,9 +15,11 @@ from collections import deque
 
 from .automata import (
     Nfa,
+    all_words_upto,
     coaccessible_states,
     complement,
     determinize,
+    enumerate_upto,
     minimize,
     subset_witness,
 )
@@ -78,7 +80,6 @@ class Relations:
 
     def __init__(self, game, strategy, keys=None):
         self.automaton = strategy_automaton(game, strategy)
-        self.alphabet = game.alphabet
         self.keys = keys if keys is not None else _KeyIndex(game)
         sdfa = self.automaton
         targ = game.target
@@ -223,10 +224,6 @@ class Relations:
                     dead.append(c)
         self.inf.update(c for c, n in live.items() if n)
 
-    def demand_all(self):
-        """Demand every configuration of a state and a symbol."""
-        self.demand((i, a) for i in range(len(self.pairs)) for a in self.alphabet)
-
     def next_from(self, i, k):
         """The (j, a) that processing k at i can pass through."""
         found = self.next_rel.get((i, k))
@@ -250,24 +247,41 @@ class Relations:
 def compute_relations(game, strategy):
     """The move and inf relations of a strategy on every symbol."""
     rel = Relations(game, strategy)
-    rel.demand_all()
+    rel.demand((i, a) for i in range(len(rel.pairs)) for a in game.alphabet)
     return rel
 
 
-# Relations are pure functions of (game, strategy); memoize them on object
-# identity so repeated queries about the same pair stay cheap.  An entry
-# goes when its game or strategy dies; ids are reused, so only an entry
-# still holding a dead reference is dropped.
+# The losing NFA is a pure function of (game, strategy); memoize it on
+# object identity so repeated queries about the same pair stay cheap.  An
+# entry goes when its game or strategy dies; ids are reused, so only an
+# entry still holding a dead reference is dropped.
 _relations_cache = {}
 
 
-def _cached_relations(game, strategy):
+def losing_nfa(game, strategy):
+    """Nondeterministic automaton for the words the strategy does not win.
+
+    A run follows one play; the extra absorbing state is entered when the
+    play can go on forever.  A word is accepted exactly when some play on
+    it ends outside the target language or never ends.
+
+    The result is memoized per (game, strategy) and shared by every
+    caller, the decisions below included: do not mutate it.
+    """
     key = (id(game), id(strategy))
     entry = _relations_cache.get(key)
     if entry is not None and entry[0]() is game and entry[1]() is strategy:
         return entry[2]
-    rel = Relations(game, strategy)
-    rel.demand_all()
+    rel = compute_relations(game, strategy)
+    sink = len(rel.pairs)
+    transitions = {(sink, a): {sink} for a in game.alphabet}
+    for c in itertools.product(range(sink), game.alphabet):
+        transitions[c] = rel.move[c] | {sink} if c in rel.inf else rel.move[c]
+    accepting = {sink}
+    for i in range(sink):
+        if rel.target_of(i) not in game.target.accepting:
+            accepting.add(i)
+    nfa = Nfa(sink + 1, game.alphabet, transitions, {0}, accepting)
 
     def evict(_):
         held = _relations_cache.get(key)
@@ -277,37 +291,11 @@ def _cached_relations(game, strategy):
     try:
         refs = (weakref.ref(game, evict), weakref.ref(strategy, evict))
     except TypeError:
-        return rel
+        return nfa
     if len(_relations_cache) > 4096:
         _relations_cache.clear()
-    _relations_cache[key] = (refs[0], refs[1], rel)
-    return rel
-
-
-def losing_nfa(game, strategy):
-    """Nondeterministic automaton for the words the strategy does not win.
-
-    A run follows one play; the extra absorbing state is entered when the
-    play can go on forever.  A word is accepted exactly when some play on
-    it ends outside the target language or never ends.
-    """
-    rel = _cached_relations(game, strategy)
-    n = len(rel.pairs)
-    sink = n
-    transitions = {}
-    for (i, k), targets in rel.move.items():
-        if isinstance(k, str):
-            transitions[(i, k)] = set(targets)
-    for i, k in rel.inf:
-        if isinstance(k, str):
-            transitions.setdefault((i, k), set()).add(sink)
-    for a in game.alphabet:
-        transitions.setdefault((sink, a), set()).add(sink)
-    accepting = {sink}
-    for i in range(n):
-        if rel.target_of(i) not in game.target.accepting:
-            accepting.add(i)
-    return Nfa(n + 1, game.alphabet, transitions, {0}, accepting)
+    _relations_cache[key] = (refs[0], refs[1], nfa)
+    return nfa
 
 
 def _check_word(game, word):
@@ -317,43 +305,19 @@ def _check_word(game, word):
 
 
 def is_winning(game, strategy, word):
-    """Does the strategy win the word whatever the replacements are?"""
+    """Does the strategy win the word whatever the replacements are?
+
+    Membership in the cached losing NFA.
+    """
     _check_word(game, word)
-    rel = _cached_relations(game, strategy)
-    current = {0}
-    for a in word:
-        nxt = set()
-        for i in current:
-            if (i, a) in rel.inf:
-                return False
-            nxt.update(rel.move.get((i, a), ()))
-        current = nxt
-    accepting = game.target.accepting
-    return all(rel.target_of(i) in accepting for i in current)
+    return not losing_nfa(game, strategy).accepts(word)
 
 
 def winning_set_upto(game, strategy, max_len):
-    """The set of winning words of length at most max_len."""
-    rel = _cached_relations(game, strategy)
-    accepting = game.target.accepting
-    out = set()
-    layer = [((), frozenset([0]))]
-    for length in range(max_len + 1):
-        deeper = []
-        for word, states in layer:
-            if all(rel.target_of(i) in accepting for i in states):
-                out.add(word)
-            if length == max_len:
-                continue
-            for a in game.alphabet:
-                if any((i, a) in rel.inf for i in states):
-                    continue
-                succ = set()
-                for i in states:
-                    succ.update(rel.move.get((i, a), ()))
-                deeper.append((word + (a,), frozenset(succ)))
-        layer = deeper
-    return out
+    """The set of winning words of length at most max_len: every word
+    minus those the cached losing NFA accepts."""
+    lost = enumerate_upto(losing_nfa(game, strategy), max_len)
+    return set(all_words_upto(game.alphabet, max_len)).difference(lost)
 
 
 def winning_set_dfa(game, strategy):
@@ -382,9 +346,11 @@ def exists_winning_sreg(game, word, mode="dfs", budget=2 ** 20):
     nodes it simulates, not the subtrees it cuts; "incremental"
     tries reroute sets by size first, so it returns a smallest winning
     set, and raises BudgetExceeded when the 2^k reroute sets exceed the
-    budget.
+    budget.  A negative budget raises ValueError.
     """
     _check_word(game, word)
+    if budget < 0:
+        raise ValueError("budget must be at least 0, got %d" % budget)
     if mode == "dfs":
         return _dfs_sreg(game, word, budget)
     if mode != "incremental":

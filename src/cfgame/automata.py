@@ -258,28 +258,6 @@ class Nfa:
         return "Nfa(%d states, alphabet %r)" % (self.n_states, list(self.alphabet))
 
 
-def make_total(n_states, alphabet, transitions, initial, accepting):
-    """Build a Dfa from a possibly partial transition map, adding a dead
-    state if any transition is missing."""
-    alphabet = tuple(alphabet)
-    missing = [
-        (q, a)
-        for q in range(n_states)
-        for a in alphabet
-        if (q, a) not in transitions
-    ]
-    trans = dict(transitions)
-    total_states = n_states
-    if missing:
-        dead = n_states
-        total_states += 1
-        for pair in missing:
-            trans[pair] = dead
-        for a in alphabet:
-            trans[(dead, a)] = dead
-    return Dfa(total_states, alphabet, trans, initial, accepting)
-
-
 def regex_to_nfa(node, alphabet):
     """Glushkov position construction; the result has no epsilon moves."""
     positions = []
@@ -392,14 +370,13 @@ def _moore_blocks(states, alphabet, transitions, accepting):
         block, count = refined, len(renumber)
 
 
-def minimize_with_map(dfa):
+def minimize(dfa):
     """Minimize a total DFA.
 
-    Returns (minimal, mapping) where mapping sends each reachable old state
-    to its state in the minimal automaton.  States of the result are
-    renumbered canonically: 0 is initial and the rest follow breadth-first
-    discovery order in alphabet order, so two minimal automata for the same
-    language over the same alphabet are structurally equal.
+    States of the result are numbered canonically: 0 is initial and the
+    rest follow breadth-first discovery order in alphabet order, so two
+    minimal automata for the same language over the same alphabet are
+    structurally equal.
     """
     reachable = [dfa.initial]
     seen = {dfa.initial}
@@ -436,56 +413,7 @@ def minimize_with_map(dfa):
             transitions[(i, a)] = numbering[block[dfa.transitions[(q, a)]]]
         if q in dfa.accepting:
             accepting.add(i)
-    mapping = {q: numbering[block[q]] for q in reachable}
-    return Dfa(n, dfa.alphabet, transitions, 0, accepting), mapping
-
-
-def minimize(dfa):
-    return minimize_with_map(dfa)[0]
-
-
-def determinize_minimize(nfa):
-    return minimize(determinize(nfa))
-
-
-def pair_product(d1, d2, accept):
-    """Product of two total DFAs over the same alphabet, restricted to
-    reachable pairs.  accept(in1, in2) decides acceptance from the two
-    memberships."""
-    if d1.alphabet != d2.alphabet:
-        raise ValueError("alphabet mismatch: %r vs %r" % (d1.alphabet, d2.alphabet))
-    start = (d1.initial, d2.initial)
-    index = {start: 0}
-    order = [start]
-    transitions = {}
-    queue = deque([start])
-    while queue:
-        p1, p2 = pair = queue.popleft()
-        for a in d1.alphabet:
-            nxt = (d1.transitions[(p1, a)], d2.transitions[(p2, a)])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            transitions[(index[pair], a)] = index[nxt]
-    accepting = {
-        i
-        for (p1, p2), i in index.items()
-        if accept(p1 in d1.accepting, p2 in d2.accepting)
-    }
-    return Dfa(len(order), d1.alphabet, transitions, 0, accepting)
-
-
-def intersect(d1, d2):
-    return pair_product(d1, d2, lambda x, y: x and y)
-
-
-def union(d1, d2):
-    return pair_product(d1, d2, lambda x, y: x or y)
-
-
-def difference(d1, d2):
-    return pair_product(d1, d2, lambda x, y: x and not y)
+    return Dfa(n, dfa.alphabet, transitions, 0, accepting)
 
 
 def complement(dfa):
@@ -543,14 +471,6 @@ def subset_witness(d1, d2):
     return _pair_path(d1, d2, lambda x, y: x and not y)
 
 
-def is_subset(d1, d2):
-    return subset_witness(d1, d2) is None
-
-
-def equivalent(d1, d2):
-    return is_subset(d1, d2) and is_subset(d2, d1)
-
-
 def compare_shortlex(d1, d2):
     """Shortlex order on languages.
 
@@ -563,6 +483,10 @@ def compare_shortlex(d1, d2):
     if word is None:
         return 0, None
     return (1, word) if d1.accepts(word) else (-1, word)
+
+
+def equivalent(d1, d2):
+    return compare_shortlex(d1, d2)[0] == 0
 
 
 def residual_order(nfa):
@@ -648,10 +572,6 @@ def shortlex_min_word(dfa):
     return _shortlex_path(
         dfa.initial, lambda q, a: trans[(q, a)], dfa.alphabet, dfa.accepting.__contains__
     )
-
-
-def is_empty(dfa):
-    return shortlex_min_word(dfa) is None
 
 
 def coaccessible_states(automaton):

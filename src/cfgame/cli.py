@@ -292,7 +292,10 @@ def cmd_is_winning(args):
 def cmd_exists_winning(args):
     game, _ = _load_game_arg(args.game)
     word = _parse_word_arg(args.word, game)
-    strategy = exists_winning_sreg(game, word, mode=args.mode, budget=args.budget)
+    try:
+        strategy = exists_winning_sreg(game, word, mode=args.mode, budget=args.budget)
+    except ValueError as exc:
+        raise CliError("--budget: %s" % exc)
     if strategy is None:
         _emit(
             args,

@@ -27,6 +27,7 @@ from .automata import (
     nfa_from_dict,
     nfa_to_dict,
     residual_order,
+    shortlex_key,
 )
 
 
@@ -93,8 +94,7 @@ def _finite_set_cmp(s1, s2, alphabet):
     """Shortlex order on finite word sets, via the least differing word."""
     if s1 == s2:
         return 0
-    index = {a: i for i, a in enumerate(alphabet)}
-    m = min(s1 ^ s2, key=lambda w: (len(w), [index[a] for a in w]))
+    m = min(s1 ^ s2, key=lambda w: shortlex_key(w, alphabet))
     return 1 if m in s1 else -1
 
 

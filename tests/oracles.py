@@ -579,6 +579,22 @@ class EagerRelations:
         self.inf = inf
 
 
+def relations_win(rel, accepting, word):
+    """Whether the strategy whose EagerRelations are rel wins word, for a
+    target with the given accepting states.
+
+    Steps the set of product pairs some play can be in after each
+    symbol: the word is lost at once when one of them can go on forever
+    on the symbol, and won when every play ends in an accepting state.
+    """
+    current = {0}
+    for a in word:
+        if any((i, a) in rel.inf for i in current):
+            return False
+        current = set().union(*(rel.move.get((i, a), ()) for i in current))
+    return all(rel.pairs[i][1] in accepting for i in current)
+
+
 def best_one_pass_win_set(game, max_word_len, history_bound, node_budget=2000000):
     """Shortlex-greatest winning set achievable by a one-pass strategy
     whose read/call decisions live on histories shorter than the bound,

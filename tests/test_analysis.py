@@ -20,10 +20,11 @@ from cfgame.analysis import (
 from cfgame.automata import (
     Dfa,
     compare_shortlex,
-    determinize_minimize,
+    determinize,
     enumerate_upto,
     equivalent,
     language_is_finite,
+    minimize,
     parse_regex,
     regex_to_nfa,
     shortlex_key,
@@ -42,6 +43,7 @@ from oracles import (
     EagerRelations,
     brute_force_effects,
     brute_force_outcome,
+    relations_win,
     sreg_automaton_by_lifting,
     sreg_winner_by_enumeration,
     words_upto,
@@ -172,6 +174,16 @@ def test_exists_winning_sreg_budget():
     assert exists_winning_sreg(game, ("c",), mode="dfs", budget=3) is not None
 
 
+def test_exists_winning_sreg_rejects_a_negative_budget():
+    # a budget of 0 is a scope limit, a negative one a usage error
+    game = fixture("g2-regular-not-sreg").game
+    for mode in ("dfs", "incremental"):
+        with pytest.raises(ValueError, match="budget"):
+            exists_winning_sreg(game, ("c",), mode=mode, budget=-1)
+        with pytest.raises(BudgetExceeded):
+            exists_winning_sreg(game, ("c",), mode=mode, budget=0)
+
+
 def test_exists_winning_sreg_budget_counts_only_simulated_nodes():
     # subtrees that cannot win are cut unsimulated: the uncut search
     # needed 484 nodes for the first formula and 275 for the second
@@ -236,8 +248,8 @@ def test_star_rule_pumps_the_target():
     assert is_winning(game, sigma, ("a",))
     assert is_winning(game, sigma, ("a", "b"))
     assert not is_winning(game, sigma, ("a", "a"))
-    expected = determinize_minimize(
-        regex_to_nfa(parse_regex("(a+c)b*"), ("a", "b", "c"))
+    expected = minimize(
+        determinize(regex_to_nfa(parse_regex("(a+c)b*"), ("a", "b", "c")))
     )
     assert equivalent(winning_set_dfa(game, sigma), expected)
     assert equivalent(winning_set_dfa(game, read_all_strategy(game)), game.target)
@@ -386,6 +398,35 @@ def test_relations_match_eager_saturation(data):
     for config, targets in rel.move.items():
         assert targets == ref.move.get(config, set())
         assert (config in rel.inf) == (config in ref.inf)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_membership_matches_stepping_the_eager_relations(data):
+    # stars in the rules give plays that go on forever
+    game = data.draw(st.one_of(small_finite_games(), small_regex_games()))
+    strategy = data.draw(random_strategies(game))
+    rel = EagerRelations(game, strategy.automaton(game))
+    won = {
+        w for w in words_upto(game.alphabet, 4)
+        if relations_win(rel, game.target.accepting, w)
+    }
+    for w in words_upto(game.alphabet, 4):
+        assert is_winning(game, strategy, w) == (w in won), w
+    assert winning_set_upto(game, strategy, 4) == won
+
+
+def test_an_infinite_play_loses_a_long_word():
+    # the target takes every word, so only the play that calling a at
+    # the first symbol never ends can lose; 10,000 more symbols follow
+    target = Dfa(1, ("a", "b"), {(0, "a"): 0, (0, "b"): 0}, 0, {0})
+    game = Game(("a", "b"), {"a": "a*a"}, target)
+    sigma = strongly_regular_automaton(game, [(0, "a")])
+    word = ("a",) + ("b",) * 10_000
+    rel = EagerRelations(game, sigma.automaton(game))
+    assert not relations_win(rel, target.accepting, word)
+    assert not is_winning(game, sigma, word)
+    assert is_winning(game, sigma, word[1:])
 
 
 # exists_winning_sreg on 3SAT reductions: (variables, clauses, reroutes

@@ -309,6 +309,24 @@ def test_exists_winning_dfs_budget_exceeded(capsys):
     assert data["exit"] == 3
 
 
+def test_exists_winning_rejects_a_negative_budget(capsys):
+    for mode in ("dfs", "incremental"):
+        code, data = run_json(
+            capsys,
+            "exists-winning",
+            "fixture:g2-regular-not-sreg",
+            "--word",
+            "c",
+            "--mode",
+            mode,
+            "--budget",
+            "-1",
+        )
+        assert code == 2
+        assert data["exit"] == 2
+        assert "budget" in data["error"]
+
+
 def test_exists_winning_rejects_retired_modes(capsys):
     for mode in ("auto", "exhaustive"):
         with pytest.raises(SystemExit) as err:
