@@ -210,11 +210,14 @@ SYNTH_PF_PARAMS = {
     "rule_length": 3,
     "constraints": ["prefix_free", "finite_replacement"],
 }
-# the synth-pf benchmark games at 6 target states, and the same draw at 7
+# the synth-pf benchmark games at 6 target states, and the same draw at
+# 7, 8 and 10
 SYNTHESIS_PARAMS = dict(
     RANDOM_PARAMS,
     pf6=dict(SYNTH_PF_PARAMS, target_states=6),
     pf7=dict(SYNTH_PF_PARAMS, target_states=7),
+    pf8=dict(SYNTH_PF_PARAMS, target_states=8),
+    pf10=dict(SYNTH_PF_PARAMS, target_states=10),
 )
 
 
@@ -317,9 +320,10 @@ def test_synthesis_digest_golden(case):
     assert synthesis_digest(case) == SYNTHESIS_GOLDEN[case]
 
 
-# Larger games pin the choice maps past what the 4-state cases reach;
-# recorded before the effect fixpoint solved each scan graph for every
-# target set at once.
+# Larger games pin the choice maps past what the 4-state cases reach.
+# The pf6 and pf7 digests were recorded before the effect fixpoint solved
+# each scan graph for every target set at once, the pf8 and pf10 ones
+# before online pruning cut round 1's subsets up to simulation.
 LARGE_SYNTHESIS_GOLDEN = {
     "random:pf6/1000": "aac3ab5b7534ba4b",
     "random:pf6/1001": "129b3b0a12513d8d",
@@ -359,6 +363,13 @@ LARGE_SYNTHESIS_GOLDEN = {
     "random:pf7/1007": "cc2f7359e2add3d2",
     "random:pf7/1008": "328d217f6243103e",
     "random:pf7/1009": "900680e03f52c9f4",
+    "random:pf8/1000": "bd4b5160b6cf7f30",
+    "random:pf8/1001": "6e78b125d2776ce0",
+    "random:pf8/1002": "0cca21b97e208684",
+    "random:pf8/1003": "2c223b63792bbf4f",
+    "random:pf8/1004": "4369f271616195a8",
+    "random:pf8/1005": "5b0dd188a1e9bd26",
+    "random:pf10/1002": "19279ded7afe4fc9",
 }
 
 
