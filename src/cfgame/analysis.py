@@ -261,9 +261,9 @@ _relations_cache = {}
 def losing_nfa(game, strategy):
     """Nondeterministic automaton for the words the strategy does not win.
 
-    A run follows one play; the extra absorbing state is entered when the
-    play can go on forever.  A word is accepted exactly when some play on
-    it ends outside the target language or never ends.
+    A run follows one play; the extra absorbing state, the last one, is
+    entered when the play can go on forever.  A word is accepted exactly
+    when some play on it ends outside the target language or never ends.
 
     The result is memoized per (game, strategy) and shared by every
     caller, the decisions below included: do not mutate it.
@@ -307,10 +307,17 @@ def _check_word(game, word):
 def is_winning(game, strategy, word):
     """Does the strategy win the word whatever the replacements are?
 
-    Membership in the cached losing NFA.
+    Membership in the cached losing NFA, stepped until a run enters its
+    absorbing state: the word is then lost whatever follows.
     """
     _check_word(game, word)
-    return not losing_nfa(game, strategy).accepts(word)
+    nfa = losing_nfa(game, strategy)
+    sink, current = nfa.n_states - 1, nfa.initials
+    for a in word:
+        current = nfa.step_set(current, a)
+        if sink in current:
+            return False
+    return current.isdisjoint(nfa.accepting)
 
 
 def winning_set_upto(game, strategy, max_len):

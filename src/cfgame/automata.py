@@ -489,7 +489,7 @@ def equivalent(d1, d2):
     return compare_shortlex(d1, d2)[0] == 0
 
 
-def residual_order(nfa):
+def residual_order(nfa, cut=None):
     """Shortlex order on the residual languages of an NFA's states.
 
     Returns cmp(p, q): -1, 0 or 1 as the language accepted from {p} is
@@ -503,7 +503,9 @@ def residual_order(nfa):
     sides and enqueues their successors.  The union-find and a memo of
     subset steps are shared by all calls; a call that ends in 0 commits
     its unions, which then join subsets of equal language, and a call
-    that finds a difference discards them.
+    that finds a difference discards them.  A cut, when given, maps each
+    stepped subset to one of equal language, so the search sees the same
+    languages on fewer states.
 
     The first disagreeing pair sits at the shortlex least word w* of the
     symmetric difference.  Pairs leave the queue in shortlex order of
@@ -525,7 +527,8 @@ def residual_order(nfa):
     def step(subset, a):
         nxt = steps.get((subset, a))
         if nxt is None:
-            nxt = steps[(subset, a)] = nfa.step_set(subset, a)
+            nxt = nfa.step_set(subset, a)
+            nxt = steps[(subset, a)] = cut(nxt) if cut else nxt
         return nxt
 
     def cmp(p, q):

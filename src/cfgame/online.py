@@ -13,6 +13,11 @@ a choice by a breadth-first search over pairs of subsets reached from
 orders them, and a search that finds none proves them equal for the
 rest of the round.  Each choice keeps its greatest successors; rounds
 repeat until none changes.
+
+On the subset automaton of effect sets that synthesis prunes, S_i <= S_j
+gives L(j) <= L(i) (synthesis.NeAutomaton), so round 1 steps only the
+members of a subset with inclusion-minimal effect sets.  Later rounds
+step whole subsets: removed transitions can break that simulation.
 """
 
 from collections import deque
@@ -86,10 +91,6 @@ def dump_online_instance(inst):
     return json.dumps(nfa_to_dict(inst.nfa), indent=2, sort_keys=True) + "\n"
 
 
-def _as_instance(inst):
-    return inst if isinstance(inst, OnlineInstance) else OnlineInstance(inst)
-
-
 def _finite_set_cmp(s1, s2, alphabet):
     """Shortlex order on finite word sets, via the least differing word."""
     if s1 == s2:
@@ -119,7 +120,20 @@ def _keep_best(transitions, cmp):
     return removed
 
 
-def _pruned_transitions(inst):
+def _minimal_members(masks, subset):
+    """The members of subset whose masks are inclusion-minimal in it.
+    Ascending integer order puts every mask after its proper subsets."""
+    kept = []
+    for i in sorted(subset, key=masks.__getitem__):
+        for j in kept:
+            if masks[j] & masks[i] == masks[j]:
+                break
+        else:
+            kept.append(i)
+    return frozenset(kept)
+
+
+def _pruned_transitions(inst, masks=None):
     """Stabilized keep-sets of the full-language pruning rounds.
 
     Each round ranks successors by their residual languages in the
@@ -135,24 +149,30 @@ def _pruned_transitions(inst):
     """
     nfa = inst.nfa
     transitions = {k: set(v) for k, v in nfa.transitions.items()}
+    cut = (lambda sub: _minimal_members(masks, sub)) if masks else None
     while True:
         current = Nfa(nfa.n_states, nfa.alphabet, transitions, (), nfa.accepting)
-        if not _keep_best(transitions, residual_order(current)):
+        if not _keep_best(transitions, residual_order(current, cut)):
             return transitions
+        cut = None
 
 
-def prune_weakly_dominant(inst):
+def prune_weakly_dominant(inst, masks=None):
     """Prune the instance into a weakly dominant deterministic strategy.
 
     Rounds remove, for every state and symbol with several successors,
     the transitions whose successor language is not shortlex-greatest in
     the current automaton; remaining ties are broken towards the
     smallest state index.  The result is a sub-automaton of the
-    instance, total by totality of the instance.
+    instance, total by totality of the instance.  masks, when given,
+    holds the effect-set bitmask of each state of an unpruned NE
+    automaton, where inclusion of masks is a simulation because every
+    pointwise union is a move (synthesis.NeAutomaton).  Round 1 then
+    steps only inclusion-minimal members; pruning can break the
+    simulation, so later rounds step whole subsets.
     """
-    inst = _as_instance(inst)
     nfa = inst.nfa
-    transitions = _pruned_transitions(inst)
+    transitions = _pruned_transitions(inst, masks)
 
     # Sanity: in the stabilized automaton, states reached together by the
     # same word have the same residual language, so a determinization
@@ -193,7 +213,6 @@ def diagnose_bounded(inst, bound):
     """
     if bound < 0:
         raise ValueError("the bound must be at least 0, got %d" % bound)
-    inst = _as_instance(inst)
     nfa = inst.nfa
     full = _pruned_transitions(inst)
     transitions = {k: set(v) for k, v in nfa.transitions.items()}

@@ -36,10 +36,6 @@ class SynthesisError(ValueError):
 EffectTriple = namedtuple("EffectTriple", ["p", "a", "states"])
 
 
-def is_trivial(game, triple):
-    return game.target.transitions[(triple.p, triple.a)] in triple.states
-
-
 def _bitmask(states):
     return sum(1 << q for q in states)
 
@@ -65,14 +61,11 @@ class EffectSet:
                 out.append(EffectTriple(p, a, s))
         return out
 
-    def read_target(self, p, c):
-        return self.game.target.transitions[(p, c)]
-
     def options(self, p, c, below=None):
         """Effect sets usable on symbol c at target state p: the read
         move plus stored triples, optionally only those admitted in
         strata below the given one."""
-        opts = [frozenset([self.read_target(p, c)])]
+        opts = [frozenset([self.game.target.transitions[(p, c)]])]
         for s in self.stored.get((p, c), ()):
             if below is not None and self.stratum[(p, c, s)] >= below:
                 continue
@@ -246,6 +239,12 @@ class NeAutomaton:
     stored effect landing inside S'.  Only pointwise unions of options
     are materialized: any other legal successor contains one of them
     and so accepts no more.
+
+    Materializing every pointwise union makes S <= T a simulation: T's
+    options on the members of S alone give a successor of S inside each
+    successor of T, and acceptance (S inside the target's accepting
+    states) is closed under subsets, so L(T) <= L(S).  Pruning removes
+    such successors, so only its first round may rely on this.
     """
 
     def __init__(self, game, effects):
@@ -451,7 +450,8 @@ def build_top_automaton(game, effects):
     every admitted triple usable.
     """
     ne = build_ne(game, effects)
-    pruned = prune_weakly_dominant(OnlineInstance(ne.nfa))
+    masks = [_bitmask(members) for members in ne.subsets]
+    pruned = prune_weakly_dominant(OnlineInstance(ne.nfa), masks)
     builder = _AutomatonBuilder(game, effects)
     start = (game.target.initial, pruned.initial)
     todo = [start]

@@ -19,6 +19,7 @@ from cfgame.analysis import (
 )
 from cfgame.automata import (
     Dfa,
+    Nfa,
     compare_shortlex,
     determinize,
     enumerate_upto,
@@ -416,17 +417,39 @@ def test_membership_matches_stepping_the_eager_relations(data):
     assert winning_set_upto(game, strategy, 4) == won
 
 
-def test_an_infinite_play_loses_a_long_word():
+def _long_lost_word():
     # the target takes every word, so only the play that calling a at
     # the first symbol never ends can lose; 10,000 more symbols follow
     target = Dfa(1, ("a", "b"), {(0, "a"): 0, (0, "b"): 0}, 0, {0})
     game = Game(("a", "b"), {"a": "a*a"}, target)
     sigma = strongly_regular_automaton(game, [(0, "a")])
-    word = ("a",) + ("b",) * 10_000
+    return game, sigma, ("a",) + ("b",) * 10_000
+
+
+def test_an_infinite_play_loses_a_long_word():
+    game, sigma, word = _long_lost_word()
     rel = EagerRelations(game, sigma.automaton(game))
-    assert not relations_win(rel, target.accepting, word)
+    assert not relations_win(rel, game.target.accepting, word)
     assert not is_winning(game, sigma, word)
     assert is_winning(game, sigma, word[1:])
+
+
+def test_is_winning_stops_stepping_at_a_certain_loss(monkeypatch):
+    game, sigma, word = _long_lost_word()
+    losing_nfa(game, sigma)  # build the cached NFA outside the count
+    stepped = []
+    step_set = Nfa.step_set
+
+    def counted(self, states, symbol):
+        stepped.append(symbol)
+        return step_set(self, states, symbol)
+
+    monkeypatch.setattr(Nfa, "step_set", counted)
+    assert not is_winning(game, sigma, word)
+    assert len(stepped) <= 2
+    # the word is checked before it is stepped
+    with pytest.raises(ValueError):
+        is_winning(game, sigma, word + ("z",))
 
 
 # exists_winning_sreg on 3SAT reductions: (variables, clauses, reroutes

@@ -22,6 +22,7 @@ from cfgame.generators import from_3sat, random_game
 from cfgame.online import OnlineInstance, _pruned_transitions, prune_weakly_dominant
 from cfgame.play import dump_strategy, strongly_regular_automaton
 from cfgame.synthesis import (
+    _bitmask,
     build_inducing_automaton,
     build_ne,
     effect_fixpoint,
@@ -393,8 +394,12 @@ PRUNING_PARAMS = {
 
 def pruning_digest(seed):
     game = random_game(PRUNING_PARAMS, seed)
-    inst = OnlineInstance(build_ne(game, effect_fixpoint(game)).nfa)
+    ne = build_ne(game, effect_fixpoint(game))
+    inst = OnlineInstance(ne.nfa)
     keep = _pruned_transitions(inst)
+    # the round-1 cut to inclusion-minimal effect sets keeps the same sets
+    masks = [_bitmask(members) for members in ne.subsets]
+    assert _pruned_transitions(inst, masks) == keep
     digest = hashlib.sha256()
     for text in (
         json.dumps([[q, a, sorted(t)] for (q, a), t in sorted(keep.items())]),

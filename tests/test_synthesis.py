@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from cfgame.analysis import is_winning, winning_set_dfa, winning_set_upto
 from cfgame.automata import (
     Dfa,
+    Nfa,
     determinize,
     enumerate_upto,
     equivalent,
@@ -14,15 +15,16 @@ from cfgame.automata import (
 from cfgame.fixtures import fixture
 from cfgame.games import Game, hat, to_prefix_free
 from cfgame.generators import random_game
+from cfgame.online import OnlineInstance, _pruned_transitions
 from cfgame.synthesis import (
     EffectSet,
     EffectTriple,
     SynthesisError,
+    _bitmask,
     build_inducing_automaton,
     build_ne,
     build_top_automaton,
     effect_fixpoint,
-    is_trivial,
     synthesize_weakly_dominant,
 )
 from oracles import (
@@ -96,9 +98,8 @@ def test_nested_call_effects_are_admitted():
     landed = game.target.transitions[(game.target.initial, "c")]
     key = (game.target.initial, "a")
     assert frozenset([landed]) in effects.stored.get(key, [])
-    assert not is_trivial(
-        game, EffectTriple(game.target.initial, "a", frozenset([landed]))
-    )
+    # not trivial: reading a does not land there
+    assert game.target.transitions[key] != landed
     strat = synthesize_weakly_dominant(game)
     assert is_winning(game, strat, ("a",))
     assert brute_force_outcome(game, strat, ("a",)) == WIN
@@ -299,3 +300,48 @@ def test_effect_fixpoint_matches_the_per_set_referee(seed, states, finite):
     assert effects.stored == stored
     assert effects.stratum == stratum
     assert effects.choice == choice
+
+
+def _random_ne(seed, states, finite):
+    constraints = ["prefix_free"] + (["finite_replacement"] if finite else [])
+    game = random_game({"constraints": constraints, "target_states": states}, seed)
+    return build_ne(game, effect_fixpoint(game))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10_000),
+    states=st.integers(2, 4),
+    finite=st.booleans(),
+)
+def test_round_one_cut_to_minimal_effect_sets_keeps_the_keep_sets(
+    seed, states, finite
+):
+    ne = _random_ne(seed, states, finite)
+    inst = OnlineInstance(ne.nfa)
+    masks = [_bitmask(members) for members in ne.subsets]
+    assert _pruned_transitions(inst, masks) == _pruned_transitions(inst)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10_000),
+    states=st.integers(2, 4),
+    finite=st.booleans(),
+)
+def test_effect_set_inclusion_is_a_simulation_on_the_ne_automaton(
+    seed, states, finite
+):
+    # S_i <= S_j gives L(j) <= L(i): the premise of the round-one cut
+    ne = _random_ne(seed, states, finite)
+    nfa = ne.nfa
+
+    def language(i):
+        return determinize(
+            Nfa(nfa.n_states, nfa.alphabet, nfa.transitions, {i}, nfa.accepting)
+        )
+
+    for i, small in enumerate(ne.subsets):
+        for j, large in enumerate(ne.subsets):
+            if i != j and small <= large:
+                assert subset_witness(language(j), language(i)) is None
