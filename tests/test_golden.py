@@ -323,8 +323,9 @@ def test_synthesis_digest_golden(case):
 
 # Larger games pin the choice maps past what the 4-state cases reach.
 # The pf6 and pf7 digests were recorded before the effect fixpoint solved
-# each scan graph for every target set at once, the pf8 and pf10 ones
-# before online pruning cut round 1's subsets up to simulation.
+# each scan graph for every target set at once, the pf8 ones and pf10/1002
+# before online pruning cut round 1's subsets up to simulation, and the
+# other pf10 ones before synthesis carried effect sets as bitmasks.
 LARGE_SYNTHESIS_GOLDEN = {
     "random:pf6/1000": "aac3ab5b7534ba4b",
     "random:pf6/1001": "129b3b0a12513d8d",
@@ -371,6 +372,12 @@ LARGE_SYNTHESIS_GOLDEN = {
     "random:pf8/1004": "4369f271616195a8",
     "random:pf8/1005": "5b0dd188a1e9bd26",
     "random:pf10/1002": "19279ded7afe4fc9",
+    "random:pf10/1003": "84935ad5924bc9e2",
+    "random:pf10/1004": "07228df8561c9385",
+    "random:pf10/1005": "34d1498659007861",
+    "random:pf10/1007": "c18c876e88522927",
+    "random:pf10/1008": "8783c58c1c9aef3d",
+    "random:pf10/1009": "2853852c63057d36",
 }
 
 
