@@ -505,7 +505,12 @@ def residual_order(nfa, cut=None):
     its unions, which then join subsets of equal language, and a call
     that finds a difference discards them.  A cut, when given, maps each
     stepped subset to one of equal language, so the search sees the same
-    languages on fewer states.
+    languages on fewer states.  Each pair of classes is answered once: a
+    call whose {p} and {q} share a class returns 0, and one whose pair of
+    classes, or its mirror, was answered returns that answer or its
+    negation without searching.  Classes only join subsets of equal
+    language, so the answer is the one a search would give, and the
+    argument below concerns only the searches that run.
 
     The first disagreeing pair sits at the shortlex least word w* of the
     symmetric difference.  Pairs leave the queue in shortlex order of
@@ -523,6 +528,16 @@ def residual_order(nfa, cut=None):
     accepting = nfa.accepting
     steps = {}
     equal = {}  # union-find parent links between subsets of equal language
+    answers = {}  # (root of {p}, root of {q}) -> cmp(p, q) when unequal
+    singletons = [frozenset([q]) for q in range(nfa.n_states)]
+
+    def root(subset, links):
+        top = subset
+        while top in links:
+            top = links[top]
+        while subset in links:  # path compression
+            links[subset], subset = top, links[subset]
+        return top
 
     def step(subset, a):
         nxt = steps.get((subset, a))
@@ -532,30 +547,23 @@ def residual_order(nfa, cut=None):
         return nxt
 
     def cmp(p, q):
+        pair = (root(singletons[p], equal), root(singletons[q], equal))
+        if pair[0] == pair[1] or pair in answers:
+            return answers.get(pair, 0)
         tentative = {}  # links between roots of equal, committed on 0
-
-        def find(subset):
-            root = subset
-            while root in equal:
-                root = equal[root]
-            while subset in equal:  # path compression within equal
-                parent = equal[subset]
-                equal[subset] = root
-                subset = parent
-            while root in tentative:
-                root = tentative[root]
-            return root
-
-        queue = deque([(frozenset([p]), frozenset([q]))])
+        queue = deque([(singletons[p], singletons[q])])
         while queue:
             left, right = queue.popleft()
-            root, other = find(left), find(right)
-            if root == other:
+            top = root(root(left, equal), tentative)
+            other = root(root(right, equal), tentative)
+            if top == other:
                 continue
             in_left = not accepting.isdisjoint(left)
             if in_left == accepting.isdisjoint(right):
-                return 1 if in_left else -1
-            tentative[root] = other
+                answers[pair] = 1 if in_left else -1
+                answers[pair[::-1]] = -answers[pair]
+                return answers[pair]
+            tentative[top] = other
             for a in alphabet:
                 queue.append((step(left, a), step(right, a)))
         equal.update(tentative)

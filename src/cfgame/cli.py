@@ -726,6 +726,9 @@ def _run(args):
     except RecursionError:
         _emit_error(args, "input nests too deeply for this implementation", SCOPE)
         return SCOPE
+    except MemoryError:
+        _emit_error(args, "out of memory", SCOPE)
+        return SCOPE
     except KeyboardInterrupt:
         print(
             json.dumps(

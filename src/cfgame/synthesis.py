@@ -18,10 +18,12 @@ reply's membership in the replacement language is a fact about what the
 opponent wrote, not about what it was rewritten into.  Only the leaves
 depend on the candidate target set, so each round builds one scan graph
 per (p, a) and solves it for all target sets at once, as bitsets indexed
-by target-set bitmask; candidates are then tested on integer masks.
+by target-set bitmask.  Effect sets travel as int bitmasks (bit q for
+state q) end to end, and become frozensets only where they are stored,
+chosen or named as subset-automaton states.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .automata import Dfa, Nfa, coaccessible_states
 from .games import classify, hat
@@ -40,6 +42,10 @@ def _bitmask(states):
     return sum(1 << q for q in states)
 
 
+def _members(mask):
+    return frozenset(q for q in range(mask.bit_length()) if mask >> q & 1)
+
+
 class EffectSet:
     """Admitted effect triples of a game, with their strata.
 
@@ -53,6 +59,7 @@ class EffectSet:
         self.stored = {}    # (p, a) -> [frozenset, ...] in admission order
         self.stratum = {}   # (p, a, frozenset) -> int
         self.choice = {}    # (p, a, frozenset) -> scan choice map
+        self.masks = {}     # (p, a) -> [(bitmask, stratum), ...] as stored
 
     def triples(self):
         out = []
@@ -61,25 +68,22 @@ class EffectSet:
                 out.append(EffectTriple(p, a, s))
         return out
 
-    def options(self, p, c, below=None):
-        """Effect sets usable on symbol c at target state p: the read
-        move plus stored triples, optionally only those admitted in
-        strata below the given one."""
-        opts = [frozenset([self.game.target.transitions[(p, c)]])]
-        for s in self.stored.get((p, c), ()):
-            if below is not None and self.stratum[(p, c, s)] >= below:
-                continue
-            opts.append(s)
+    def option_masks(self, p, c, below=None):
+        """Bitmasks of the effect sets usable on symbol c at target state
+        p: the read move plus stored triples, optionally only those
+        admitted in strata below the given one."""
+        opts = [1 << self.game.target.transitions[(p, c)]]
+        for mask, level in self.masks.get((p, c), ()):
+            if below is None or level < below:
+                opts.append(mask)
         return opts
 
     def fitting(self, p, c, inside, below=None):
         """Smallest-bitmask usable effect set contained in the given
         state set, or None."""
-        best = None
-        for opt in self.options(p, c, below=below):
-            if opt <= inside and (best is None or _bitmask(opt) < _bitmask(best)):
-                best = opt
-        return best
+        outside = ~_bitmask(inside)
+        fits = [m for m in self.option_masks(p, c, below) if not m & outside]
+        return _members(min(fits)) if fits else None
 
 
 def _solve_scan(game, effects, p, a, live, below, upward):
@@ -88,16 +92,16 @@ def _solve_scan(game, effects, p, a, live, below, upward):
     coaccessible_states(game.replacement_dfa(a)), and only triples
     admitted below the given stratum are used.
 
-    Nodes pair the possible target states with the reply state reached
-    on the raw symbols scanned so far.  Returns (nodes, edges, wins):
-    edges[i] lists, per symbol, the options (bitmask, set, successor
-    node) of node i, and bit m of wins[i] is set when the opponent
+    Nodes pair the bitmask of the possible target states with the reply
+    state reached on the raw symbols scanned so far.  Returns (nodes,
+    edges, wins): edges[i] lists, per symbol, the options (bitmask,
+    successor node) of node i, and bit m of wins[i] is set when the opponent
     cannot force a failure from node i for the target set of bitmask m.
     With n target states each wins has 2^n bits, 128 bytes per node at
     the default cap of 10.
     """
     rdfa = game.replacement_dfa(a)
-    start = (frozenset([p]), rdfa.initial)
+    start = (1 << p, rdfa.initial)
     if rdfa.initial not in live:
         return [start], [[]], [0]  # no reply can be completed
     nodes = [start]
@@ -124,14 +128,14 @@ def _solve_scan(game, effects, p, a, live, below, upward):
                     nodes.append((u, y2))
                     preds.append([])
                 preds[j].append(i)
-                opts.append((_bitmask(u), u, j))
+                opts.append((u, j))
             out.append((c, opts))
 
     # greatest fixpoint: a leaf wins the target sets containing its
     # members, an inner node those that every symbol wins by some option
     full = upward(0)  # every target set contains the empty set
     wins = [
-        upward(_bitmask(members)) if y in rdfa.accepting else full
+        upward(members) if y in rdfa.accepting else full
         for members, y in nodes
     ]
     pending = [i for i, out in enumerate(edges) if out]
@@ -142,7 +146,7 @@ def _solve_scan(game, effects, p, a, live, below, upward):
         w = full
         for _, opts in edges[i]:
             some = 0
-            for _, _, j in opts:
+            for _, j in opts:
                 some |= wins[j]
             w &= some
         if w != wins[i]:
@@ -158,14 +162,15 @@ def _scan_choice(nodes, edges, wins, mask):
     """Choice map of the scan for the target set of the given bitmask:
     (possible target states, reply state, symbol) goes to the
     least-bitmask option that keeps the scan winning, which a winning
-    node has on every symbol."""
+    node has on every symbol.  Only here do the masks become sets."""
     choice = {}
     for (members, y), out, w in zip(nodes, edges, wins):
         if not w >> mask & 1:
             continue
+        members = _members(members)
         for c, opts in out:
-            good = [(m, u) for m, u, j in opts if wins[j] >> mask & 1]
-            choice[(members, y, c)] = min(good)[1]
+            good = [u for u, j in opts if wins[j] >> mask & 1]
+            choice[(members, y, c)] = _members(min(good))
     return choice
 
 
@@ -174,11 +179,12 @@ def effect_fixpoint(game, cap=10):
 
     Each round solves, for every (p, a), one scan graph over the triples
     admitted in earlier rounds, for all target sets at once.  Candidate
-    sets are then tested as integer bitmasks in increasing order;
-    candidates that reading or an already stored subset fits inside are
-    skipped, so the stored sets per (p, a) stay inclusion-minimal.  A
-    triple is stored as soon as it is admitted, since the scan ignores
-    triples of the current round.
+    sets are bitmasks, admitted in increasing order; one upward-closed
+    int marks the sets that reading or an already stored set fits inside,
+    and these are skipped, so the stored sets per (p, a) stay
+    inclusion-minimal.  The scan is solved only when some set is left
+    uncovered.  A triple is stored as soon as it is admitted, since the
+    scan ignores triples of the current round.
     """
     if cap < 0:
         raise ValueError("the synthesis cap must not be negative, got %d" % cap)
@@ -212,22 +218,21 @@ def effect_fixpoint(game, cap=10):
         admitted = False
         for a in game.function_symbols:
             for p in range(n):
-                covered = [_bitmask(opt) for opt in effects.options(p, a)]
-                scan = None
-                for mask in range(1, 1 << n):
-                    if any(c & mask == c for c in covered):
-                        continue
-                    if scan is None:
-                        scan = _solve_scan(
-                            game, effects, p, a, live[a], stratum, upward
-                        )
-                    if not scan[2][0] >> mask & 1:
-                        continue
-                    s = frozenset(q for q in range(n) if mask >> q & 1)
+                free = upward(0) - 1  # every nonempty target set
+                for c in effects.option_masks(p, a):
+                    free &= ~upward(c)
+                if not free:
+                    continue
+                scan = _solve_scan(game, effects, p, a, live[a], stratum, upward)
+                free &= scan[2][0]
+                while free:
+                    mask = (free & -free).bit_length() - 1
+                    s = _members(mask)
                     effects.stored.setdefault((p, a), []).append(s)
                     effects.stratum[(p, a, s)] = stratum
                     effects.choice[(p, a, s)] = _scan_choice(*scan, mask)
-                    covered.append(mask)
+                    effects.masks.setdefault((p, a), []).append((mask, stratum))
+                    free &= ~upward(mask)
                     admitted = True
     return effects
 
@@ -245,41 +250,41 @@ class NeAutomaton:
     successor of T, and acceptance (S inside the target's accepting
     states) is closed under subsets, so L(T) <= L(S).  Pruning removes
     such successors, so only its first round may rely on this.
+
+    States are found as bitmasks: masks[i] is the effect set of state i
+    as a bitmask, subsets[i] as a frozenset, and index[subsets[i]] is i.
     """
 
     def __init__(self, game, effects):
         self.game = game
         self.effects = effects
         target = game.target
-        start = frozenset([target.initial])
-        subsets = [start]
-        index = {start: 0}
+        masks = [1 << target.initial]
+        index = {masks[0]: 0}
         transitions = {}
-        queue = deque([start])
-        while queue:
-            members = queue.popleft()
-            i = index[members]
+        for i, members in enumerate(masks):
             for c in game.alphabet:
-                for u in sorted(_pointwise_successors(effects, members, c), key=_bitmask):
+                for u in sorted(_pointwise_successors(effects, members, c)):
                     if u not in index:
-                        index[u] = len(subsets)
-                        subsets.append(u)
-                        queue.append(u)
+                        index[u] = len(masks)
+                        masks.append(u)
                     transitions.setdefault((i, c), set()).add(index[u])
-        accepting = {
-            i for i, members in enumerate(subsets) if members <= target.accepting
-        }
-        self.subsets = subsets
-        self.index = index
-        self.nfa = Nfa(len(subsets), game.alphabet, transitions, {0}, accepting)
+        rejecting = ~_bitmask(target.accepting)
+        accepting = {i for i, members in enumerate(masks) if not members & rejecting}
+        self.masks = masks
+        self.subsets = [_members(members) for members in masks]
+        self.index = {members: i for i, members in enumerate(self.subsets)}
+        self.nfa = Nfa(len(masks), game.alphabet, transitions, {0}, accepting)
 
 
 def _pointwise_successors(effects, members, c, below=None):
-    """The unions of one option per member on symbol c, optionally using
-    only triples admitted below the given stratum.  Members are folded in
-    one at a time, single-option ones first, deduplicating as it goes."""
-    unions = {frozenset()}
-    for opts in sorted((effects.options(q, c, below) for q in members), key=len):
+    """The unions of one option per member of the bitmask members on
+    symbol c, as bitmasks, optionally using only triples admitted below
+    the given stratum.  Members are folded in one at a time, single-option
+    ones first, deduplicating as it goes."""
+    states = [q for q in range(members.bit_length()) if members >> q & 1]
+    unions = {0}
+    for opts in sorted((effects.option_masks(q, c, below) for q in states), key=len):
         unions = {u | o for u in unions for o in opts}
     return unions
 
@@ -450,8 +455,7 @@ def build_top_automaton(game, effects):
     every admitted triple usable.
     """
     ne = build_ne(game, effects)
-    masks = [_bitmask(members) for members in ne.subsets]
-    pruned = prune_weakly_dominant(OnlineInstance(ne.nfa), masks)
+    pruned = prune_weakly_dominant(OnlineInstance(ne.nfa), ne.masks)
     builder = _AutomatonBuilder(game, effects)
     start = (game.target.initial, pruned.initial)
     todo = [start]

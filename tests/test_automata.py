@@ -254,6 +254,41 @@ def test_residual_order_forgets_the_unions_of_an_unequal_comparison():
     assert cmp(1, 0) == -1
 
 
+class _CountedAccepting(frozenset):
+    """Accepting states that count the acceptance tests of a search."""
+
+    tests = 0
+
+    def isdisjoint(self, other):
+        _CountedAccepting.tests += 1
+        return frozenset.isdisjoint(self, other)
+
+
+def test_residual_order_answers_each_pair_of_classes_once(monkeypatch):
+    # L(0) = L(2) = {a} and L(1) is empty
+    transitions = {(0, "a"): {3}, (1, "a"): {4}, (2, "a"): {3}}
+    nfa = Nfa(5, ("a",), transitions, (), {3})
+    nfa.accepting = _CountedAccepting(nfa.accepting)
+    cmp = residual_order(nfa)
+    assert cmp(0, 2) == 0  # joins the classes of {0} and {2}
+    assert cmp(0, 1) == 1
+    stepped = []
+    step_set = Nfa.step_set
+
+    def counted(self, states, symbol):
+        stepped.append(symbol)
+        return step_set(self, states, symbol)
+
+    monkeypatch.setattr(Nfa, "step_set", counted)
+    monkeypatch.setattr(_CountedAccepting, "tests", 0)
+    # the repeat, its mirror, and questions about {2}, proven equal to
+    # {0}, are answered without a search; the step memo alone would
+    # spare the steps of a repeated search but not its acceptance tests
+    assert [cmp(0, 1), cmp(1, 0), cmp(2, 1), cmp(1, 2), cmp(2, 0)] == [1, -1, 1, -1, 0]
+    assert stepped == []
+    assert _CountedAccepting.tests == 0
+
+
 @given(dfas())
 def test_strict_subset_is_shortlex_smaller(dfa):
     # dropping any accepted word makes the language shortlex smaller

@@ -422,6 +422,18 @@ def test_synthesize_rejects_a_negative_cap(capsys):
     assert "cap" in data["error"]
 
 
+def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch):
+    def exhausted(game, cap):
+        raise MemoryError()
+
+    monkeypatch.setattr(cfgame.cli, "synthesize_weakly_dominant", exhausted)
+    code = main(["--json", "synthesize", "fixture:g1-recursive"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out) == {"error": "out of memory", "exit": 3}
+    assert "Traceback" not in err
+
+
 def test_transform_then_synthesize(tmp_path, capsys):
     path = tmp_path / "crooked.json"
     path.write_text(crooked_game_text())

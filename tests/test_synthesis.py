@@ -345,3 +345,40 @@ def test_effect_set_inclusion_is_a_simulation_on_the_ne_automaton(
         for j, large in enumerate(ne.subsets):
             if i != j and small <= large:
                 assert subset_witness(language(j), language(i)) is None
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10_000),
+    states=st.integers(2, 4),
+    finite=st.booleans(),
+)
+def test_effect_set_masks_match_their_sets(seed, states, finite):
+    ne = _random_ne(seed, states, finite)
+    for i, members in enumerate(ne.subsets):
+        assert ne.masks[i] == _bitmask(members)
+        assert ne.index[members] == i
+    effects = ne.effects
+    target = ne.game.target
+    n = target.n_states
+    insides = [frozenset(q for q in range(n) if m >> q & 1) for m in range(1 << n)]
+    strata = [None] + sorted(set(effects.stratum.values()) | {1}) + [
+        max(effects.stratum.values(), default=0) + 1
+    ]
+
+    def referee(p, c, inside, below):
+        # the smallest-bitmask read or stored option inside the set
+        options = [frozenset([target.transitions[(p, c)]])] + [
+            s
+            for s in effects.stored.get((p, c), [])
+            if below is None or effects.stratum[(p, c, s)] < below
+        ]
+        fits = [s for s in options if s <= inside]
+        return min(fits, key=lambda s: sum(1 << q for q in s), default=None)
+
+    for p in range(n):
+        for c in ne.game.alphabet:
+            for inside in insides:
+                for below in strata:
+                    expected = referee(p, c, inside, below)
+                    assert effects.fitting(p, c, inside, below) == expected
