@@ -4,9 +4,9 @@ The workhorse is a saturated family of relations describing how a
 strategy automaton walks the product with the target while input symbols
 and replacement subexpressions are handled, calls included.  From the
 saturated relations we read off a nondeterministic automaton for the
-complement of the winning set; membership, enumeration, domination and
-the search for winning reroute sets are all automaton questions on top
-of that.
+complement of the winning set, memoized with the SubsetView membership
+steps; membership, enumeration, domination and the search for winning
+reroute sets are all automaton questions on top of that.
 """
 
 import itertools
@@ -15,13 +15,14 @@ from collections import deque
 
 from .automata import (
     Nfa,
+    SubsetView,
     all_words_upto,
     coaccessible_states,
     complement,
     determinize,
     enumerate_upto,
     minimize,
-    subset_witness,
+    shortlex_path,
 )
 from .games import hat
 from .play import strategy_automaton, strongly_regular_automaton
@@ -251,23 +252,14 @@ def compute_relations(game, strategy):
     return rel
 
 
-# The losing NFA is a pure function of (game, strategy); memoize it on
-# object identity so repeated queries about the same pair stay cheap.  An
+# The losing NFA is a pure function of (game, strategy); memoize it and
+# its SubsetView on object identity so repeated queries stay cheap.  An
 # entry goes when its game or strategy dies; ids are reused, so only an
 # entry still holding a dead reference is dropped.
 _relations_cache = {}
 
 
-def losing_nfa(game, strategy):
-    """Nondeterministic automaton for the words the strategy does not win.
-
-    A run follows one play; the extra absorbing state, the last one, is
-    entered when the play can go on forever.  A word is accepted exactly
-    when some play on it ends outside the target language or never ends.
-
-    The result is memoized per (game, strategy) and shared by every
-    caller, the decisions below included: do not mutate it.
-    """
+def _losing_view(game, strategy):
     key = (id(game), id(strategy))
     entry = _relations_cache.get(key)
     if entry is not None and entry[0]() is game and entry[1]() is strategy:
@@ -281,7 +273,7 @@ def losing_nfa(game, strategy):
     for i in range(sink):
         if rel.target_of(i) not in game.target.accepting:
             accepting.add(i)
-    nfa = Nfa(sink + 1, game.alphabet, transitions, {0}, accepting)
+    view = SubsetView(Nfa(sink + 1, game.alphabet, transitions, {0}, accepting))
 
     def evict(_):
         held = _relations_cache.get(key)
@@ -291,11 +283,24 @@ def losing_nfa(game, strategy):
     try:
         refs = (weakref.ref(game, evict), weakref.ref(strategy, evict))
     except TypeError:
-        return nfa
+        return view
     if len(_relations_cache) > 4096:
         _relations_cache.clear()
-    _relations_cache[key] = (refs[0], refs[1], nfa)
-    return nfa
+    _relations_cache[key] = (refs[0], refs[1], view)
+    return view
+
+
+def losing_nfa(game, strategy):
+    """Nondeterministic automaton for the words the strategy does not win.
+
+    A run follows one play; the extra absorbing state, the last one, is
+    entered when the play can go on forever.  A word is accepted exactly
+    when some play on it ends outside the target language or never ends.
+
+    The result is memoized per (game, strategy) with its SubsetView and
+    shared by every caller, the decisions below included: do not mutate it.
+    """
+    return _losing_view(game, strategy).nfa
 
 
 def _check_word(game, word):
@@ -307,17 +312,17 @@ def _check_word(game, word):
 def is_winning(game, strategy, word):
     """Does the strategy win the word whatever the replacements are?
 
-    Membership in the cached losing NFA, stepped until a run enters its
-    absorbing state: the word is then lost whatever follows.
+    Membership in the cached losing NFA's SubsetView, stepped until a run
+    enters its absorbing state: the word is then lost whatever follows.
     """
     _check_word(game, word)
-    nfa = losing_nfa(game, strategy)
-    sink, current = nfa.n_states - 1, nfa.initials
+    view = _losing_view(game, strategy)
+    sink, subsets, i = view.nfa.n_states - 1, view.subsets, 0
     for a in word:
-        current = nfa.step_set(current, a)
-        if sink in current:
+        i = view.step(i, a)
+        if sink in subsets[i]:
             return False
-    return current.isdisjoint(nfa.accepting)
+    return not view.accepts(i)
 
 
 def winning_set_upto(game, strategy, max_len):
@@ -337,10 +342,13 @@ def is_dominated(game, first, second):
 
     Returns (answer, witness).  The witness is the shortlex least word
     won by the first strategy but not the second, None when dominated.
+    It is searched for on fresh SubsetViews, so the cached ones stay small.
     """
-    d1 = determinize(losing_nfa(game, first))
-    d2 = determinize(losing_nfa(game, second))
-    witness = subset_witness(d2, d1)
+    v1, v2 = (SubsetView(losing_nfa(game, s)) for s in (first, second))
+    witness = shortlex_path(
+        (0, 0), lambda p, a: (v1.step(p[0], a), v2.step(p[1], a)), game.alphabet,
+        lambda p: v2.accepts(p[1]) and not v1.accepts(p[0]),
+    )
     return witness is None, witness
 
 

@@ -3,7 +3,8 @@
 Symbols are strings, words are tuples of symbols.  A word like ("a", "b")
 prints as "ab" when every symbol is a single character.  All DFAs here are
 total: every (state, symbol) pair has a transition, with an explicit dead
-state where needed.
+state where needed.  Lazy walks over the subsets of states that an NFA's
+words reach all read a SubsetView; determinize keeps its own exhaustive loop.
 """
 
 from collections import deque
@@ -316,19 +317,41 @@ def regex_to_nfa(node, alphabet):
     return Nfa(len(positions) + 1, alphabet, transitions, {0}, accepting)
 
 
-def _subset_graph(nfa, starts):
-    """Subset construction from a list of distinct start subsets with one
-    shared index.
+class SubsetView:
+    """Lazy subset construction of an NFA.  subsets[i] is the i-th subset
+    of states found reachable by a word, subset 0 the initial states, and
+    index maps each back to its number.  step(i, a), memoized, numbers the
+    subset a leads to from subset i; a cut, when given, maps each stepped
+    subset to the one numbered in its place."""
 
-    Subsets are numbered from 0, the starts first and the rest in
-    breadth-first discovery order.  Returns (count, transitions,
-    accepting): the number of subsets reached, the map from (i, a) to the
-    number of the successor of subset i on a, and the numbers of the
-    subsets that meet nfa.accepting.  Each subset is stepped once per
-    symbol.
-    """
-    subsets = list(starts)
-    index = {subset: i for i, subset in enumerate(subsets)}
+    def __init__(self, nfa, cut=None):
+        self.nfa, self.cut = nfa, cut
+        self.subsets, self.index, self._steps = [nfa.initials], {nfa.initials: 0}, {}
+
+    def number(self, subset):
+        """The number of subset, which is numbered next if it is new."""
+        i = self.index.get(subset)
+        if i is None:
+            i = self.index[subset] = len(self.subsets)
+            self.subsets.append(subset)
+        return i
+
+    def step(self, i, a):
+        j = self._steps.get((i, a))
+        if j is None:
+            nxt = self.nfa.step_set(self.subsets[i], a)
+            j = self._steps[(i, a)] = self.number(self.cut(nxt) if self.cut else nxt)
+        return j
+
+    def accepts(self, i):
+        return not self.nfa.accepting.isdisjoint(self.subsets[i])
+
+
+def determinize(nfa):
+    """Subset construction, numbering subsets breadth first from the initial
+    one.  The result is total; the empty subset is a dead state if reached."""
+    subsets = [nfa.initials]
+    index = {nfa.initials: 0}
     transitions = {}
     for i, subset in enumerate(subsets):  # grows while walked: a BFS queue
         for a in nfa.alphabet:
@@ -339,14 +362,7 @@ def _subset_graph(nfa, starts):
                 subsets.append(nxt)
             transitions[(i, a)] = j
     accepting = {i for i, subset in enumerate(subsets) if subset & nfa.accepting}
-    return len(subsets), transitions, accepting
-
-
-def determinize(nfa):
-    """Subset construction.  The result is total; the empty subset becomes a
-    dead state when reachable."""
-    count, transitions, accepting = _subset_graph(nfa, [frozenset(nfa.initials)])
-    return Dfa(count, nfa.alphabet, transitions, 0, accepting)
+    return Dfa(len(subsets), nfa.alphabet, transitions, 0, accepting)
 
 
 def _moore_blocks(states, alphabet, transitions, accepting):
@@ -426,7 +442,7 @@ def complement(dfa):
     )
 
 
-def _shortlex_path(start, step, alphabet, goal):
+def shortlex_path(start, step, alphabet, goal):
     """Breadth-first search from start, expanding in alphabet order.
 
     Returns the word leading to the first visited node satisfying
@@ -458,7 +474,7 @@ def _pair_path(d1, d2, predicate):
     if d1.alphabet != d2.alphabet:
         raise ValueError("alphabet mismatch: %r vs %r" % (d1.alphabet, d2.alphabet))
     t1, t2 = d1.transitions, d2.transitions
-    return _shortlex_path(
+    return shortlex_path(
         (d1.initial, d2.initial),
         lambda pair, a: (t1[(pair[0], a)], t2[(pair[1], a)]),
         d1.alphabet,
@@ -500,17 +516,18 @@ def residual_order(nfa, cut=None):
     in alphabet order, that skips a pair whose sides are already in one
     union-find class, returns at the first pair whose sides disagree on
     acceptance (1 when the left side accepts) and otherwise unions the
-    sides and enqueues their successors.  The union-find and a memo of
-    subset steps are shared by all calls; a call that ends in 0 commits
-    its unions, which then join subsets of equal language, and a call
-    that finds a difference discards them.  A cut, when given, maps each
-    stepped subset to one of equal language, so the search sees the same
-    languages on fewer states.  Each pair of classes is answered once: a
-    call whose {p} and {q} share a class returns 0, and one whose pair of
-    classes, or its mirror, was answered returns that answer or its
-    negation without searching.  Classes only join subsets of equal
-    language, so the answer is the one a search would give, and the
-    argument below concerns only the searches that run.
+    sides and enqueues their successors.  All calls share a SubsetView,
+    which is a memo of subset steps, and a union-find over its subset
+    numbers; a call that ends in 0 commits its unions, which then join
+    subsets of equal language, and a call that finds a difference discards
+    them.  A cut, when given, is the view's: it maps each stepped subset to
+    one of equal language, so the search sees the same languages on fewer
+    states.  Each pair of classes is answered once: a call whose {p} and
+    {q} share a class returns 0, and one whose pair of classes, or its
+    mirror, was answered returns that answer or its negation without
+    searching.  Classes only join subsets of equal language, so the answer
+    is the one a search would give, and the argument below concerns only
+    the searches that run.
 
     The first disagreeing pair sits at the shortlex least word w* of the
     symmetric difference.  Pairs leave the queue in shortlex order of
@@ -524,12 +541,11 @@ def residual_order(nfa, cut=None):
     u_i.v is in the symmetric difference, and since u_i comes before u
     and both are followed by v, u_i.v comes before w*: a contradiction.
     """
-    alphabet = nfa.alphabet
-    accepting = nfa.accepting
-    steps = {}
-    equal = {}  # union-find parent links between subsets of equal language
+    view = SubsetView(nfa, cut)
+    step, accepts = view.step, view.accepts
+    equal = {}  # union-find parent links between subset numbers of equal language
     answers = {}  # (root of {p}, root of {q}) -> cmp(p, q) when unequal
-    singletons = [frozenset([q]) for q in range(nfa.n_states)]
+    singletons = [view.number(frozenset([q])) for q in range(nfa.n_states)]
 
     def root(subset, links):
         top = subset
@@ -538,13 +554,6 @@ def residual_order(nfa, cut=None):
         while subset in links:  # path compression
             links[subset], subset = top, links[subset]
         return top
-
-    def step(subset, a):
-        nxt = steps.get((subset, a))
-        if nxt is None:
-            nxt = nfa.step_set(subset, a)
-            nxt = steps[(subset, a)] = cut(nxt) if cut else nxt
-        return nxt
 
     def cmp(p, q):
         pair = (root(singletons[p], equal), root(singletons[q], equal))
@@ -558,13 +567,13 @@ def residual_order(nfa, cut=None):
             other = root(root(right, equal), tentative)
             if top == other:
                 continue
-            in_left = not accepting.isdisjoint(left)
-            if in_left == accepting.isdisjoint(right):
+            in_left = accepts(left)
+            if in_left != accepts(right):
                 answers[pair] = 1 if in_left else -1
                 answers[pair[::-1]] = -answers[pair]
                 return answers[pair]
             tentative[top] = other
-            for a in alphabet:
+            for a in nfa.alphabet:
                 queue.append((step(left, a), step(right, a)))
         equal.update(tentative)
         return 0
@@ -580,7 +589,7 @@ def shortlex_key(word, alphabet):
 def shortlex_min_word(dfa):
     """Shortlex least accepted word, or None for the empty language."""
     trans = dfa.transitions
-    return _shortlex_path(
+    return shortlex_path(
         dfa.initial, lambda q, a: trans[(q, a)], dfa.alphabet, dfa.accepting.__contains__
     )
 
@@ -644,37 +653,28 @@ def language_is_finite(dfa):
 def enumerate_upto(automaton, max_len):
     """All accepted words of length <= max_len, in shortlex order.
 
-    Works for Dfa and Nfa.  The word tree is pruned at dead states
-    (subsets with no coaccessible member, for an Nfa).
-    """
+    Works for Dfa and Nfa, an Nfa through a SubsetView cut down to its
+    coaccessible states.  The word tree is pruned at dead states and at
+    empty subsets."""
     words = []
-    live = coaccessible_states(automaton)
+    live = frozenset(coaccessible_states(automaton))
     if isinstance(automaton, Dfa):
-        frontier = [((), automaton.initial)]
-        for length in range(max_len + 1):
-            nxt = []
-            for word, q in frontier:
-                if q in automaton.accepting:
-                    words.append(word)
-                if length < max_len:
-                    for a in automaton.alphabet:
-                        t = automaton.transitions[(q, a)]
-                        if t in live:
-                            nxt.append((word + (a,), t))
-            frontier = nxt
-        return words
-
-    nfa = automaton
-    frontier = [((), frozenset(nfa.initials))]
+        start, step = automaton.initial, lambda q, a: automaton.transitions[(q, a)]
+        alive, accepted = live.__contains__, automaton.accepting.__contains__
+    else:
+        view = SubsetView(automaton, live.intersection)
+        start, step, accepted = 0, view.step, view.accepts
+        alive = view.subsets.__getitem__  # a nonempty subset is alive
+    frontier = [((), start)]
     for length in range(max_len + 1):
         nxt = []
-        for word, subset in frontier:
-            if subset & nfa.accepting:
+        for word, q in frontier:
+            if accepted(q):
                 words.append(word)
             if length < max_len:
-                for a in nfa.alphabet:
-                    t = frozenset(s for s in nfa.step_set(subset, a) if s in live)
-                    if t:
+                for a in automaton.alphabet:
+                    t = step(q, a)
+                    if alive(t):
                         nxt.append((word + (a,), t))
         frontier = nxt
     return words
@@ -698,7 +698,7 @@ def is_prefix_free(dfa):
     live = coaccessible_states(dfa)
     # states with a nonempty path to an accepting state
     extendable = {q for (q, _), t in trans.items() if t in live}
-    word = _shortlex_path(
+    word = shortlex_path(
         dfa.initial,
         lambda q, a: trans[(q, a)],
         dfa.alphabet,
@@ -707,7 +707,7 @@ def is_prefix_free(dfa):
     if word is None:
         return True, None
     # nodes are (state, whether a symbol has been read yet)
-    extension = _shortlex_path(
+    extension = shortlex_path(
         (dfa.run(word), False),
         lambda node, a: (trans[(node[0], a)], True),
         dfa.alphabet,
@@ -796,6 +796,9 @@ def nfa_from_dict(data):
         initials = [initials]
     try:
         nfa = Nfa(data["states"], data["alphabet"], transitions, initials, data["accepting"])
+        symbol_set = set(nfa.alphabet)
+        if len(symbol_set) != len(nfa.alphabet):
+            raise ValueError("duplicate symbols in alphabet")
         for q in nfa.initials | nfa.accepting | {s for s, _ in nfa.transitions}:
             if not 0 <= q < nfa.n_states:
                 raise ValueError("state %r out of range" % (q,))
@@ -805,7 +808,6 @@ def nfa_from_dict(data):
                     raise ValueError("state %r out of range" % (t,))
     except TypeError as exc:
         raise ValueError(str(exc)) from None
-    symbol_set = set(nfa.alphabet)
     for _, a in nfa.transitions:
         if a not in symbol_set:
             raise ValueError("transition on unknown symbol %r" % (a,))

@@ -9,10 +9,10 @@ sub-automaton that is a weakly dominant way of playing.
 Pruning goes in rounds.  A round compares two successors p and q of
 a choice by a breadth-first search over pairs of subsets reached from
 ({p}, {q}) by one word, up to the subsets already proven equal
-(automata.residual_order): the first pair that disagrees on acceptance
-orders them, and a search that finds none proves them equal for the
-rest of the round.  Each choice keeps its greatest successors; rounds
-repeat until none changes.
+(automata.residual_order, on one automata.SubsetView per round): the
+first pair that disagrees on acceptance orders them, and a search that
+finds none proves them equal for the rest of the round.  Each choice
+keeps its greatest successors; rounds repeat until none changes.
 
 On the subset automaton of effect sets that synthesis prunes, S_i <= S_j
 gives L(j) <= L(i) (synthesis.NeAutomaton), so round 1 steps only the
@@ -20,12 +20,12 @@ members of a subset with inclusion-minimal effect sets.  Later rounds
 step whole subsets: removed transitions can break that simulation.
 """
 
-from collections import deque
 import json
 
 from .automata import (
     Dfa,
     Nfa,
+    SubsetView,
     determinize,
     enumerate_upto,
     equivalent,
@@ -173,29 +173,19 @@ def prune_weakly_dominant(inst, masks=None):
     """
     nfa = inst.nfa
     transitions = _pruned_transitions(inst, masks)
+    pruned = Nfa(nfa.n_states, nfa.alphabet, transitions, {inst.initial}, nfa.accepting)
 
     # Sanity: in the stabilized automaton, states reached together by the
     # same word have the same residual language, so a determinization
     # subset that touches the accepting set lies inside it.
-    seen = {frozenset([inst.initial])}
-    queue = deque(seen)
-    while queue:
-        subset = queue.popleft()
+    view = SubsetView(pruned)
+    for i, subset in enumerate(view.subsets):  # grows while walked
         assert not subset & nfa.accepting or subset <= nfa.accepting
         for a in nfa.alphabet:
-            nxt = frozenset(t for s in subset for t in transitions[(s, a)])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+            view.step(i, a)
 
-    table = {}
-    for q in range(nfa.n_states):
-        for a in nfa.alphabet:
-            table[(q, a)] = min(transitions[(q, a)])
+    table = {key: min(succ) for key, succ in transitions.items()}
     dfa = Dfa(nfa.n_states, nfa.alphabet, table, inst.initial, nfa.accepting)
-    pruned = Nfa(
-        nfa.n_states, nfa.alphabet, transitions, {inst.initial}, nfa.accepting
-    )
     # the tie-break loses no words
     assert equivalent(dfa, determinize(pruned))
     return dfa

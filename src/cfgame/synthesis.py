@@ -252,7 +252,7 @@ class NeAutomaton:
     such successors, so only its first round may rely on this.
 
     States are found as bitmasks: masks[i] is the effect set of state i
-    as a bitmask, subsets[i] as a frozenset, and index[subsets[i]] is i.
+    as a bitmask and subsets[i] as a frozenset.
     """
 
     def __init__(self, game, effects):
@@ -273,7 +273,6 @@ class NeAutomaton:
         accepting = {i for i, members in enumerate(masks) if not members & rejecting}
         self.masks = masks
         self.subsets = [_members(members) for members in masks]
-        self.index = {members: i for i, members in enumerate(self.subsets)}
         self.nfa = Nfa(len(masks), game.alphabet, transitions, {0}, accepting)
 
 

@@ -1,6 +1,7 @@
 """Checks of the relation saturation and the decision procedures on top."""
 
 import gc
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -29,10 +30,11 @@ from cfgame.automata import (
     parse_regex,
     regex_to_nfa,
     shortlex_key,
+    subset_witness,
 )
 from cfgame.fixtures import fixture, fixture_names
 from cfgame.games import Game
-from cfgame.generators import CnfFormula, from_3sat
+from cfgame.generators import CnfFormula, from_3sat, from_nfa_universality
 from cfgame.play import (
     ForgetfulStrategy,
     GeneralStrategy,
@@ -452,6 +454,40 @@ def test_is_winning_stops_stepping_at_a_certain_loss(monkeypatch):
         is_winning(game, sigma, word + ("z",))
 
 
+def _kth_from_last_nfa(k, universal):
+    """Words over 0/1 shorter than k, and those whose k-th symbol from the
+    end is 1 (or either bit, when universal: then every word)."""
+    chains = [range(1 + j * k, 1 + (j + 1) * k) for j in range(3 if universal else 2)]
+    transitions = {(0, "0"): {0}, (0, "1"): {0}}
+    for chain in chains:
+        for p in chain[:-1]:
+            transitions[(p, "0")] = transitions[(p, "1")] = {p + 1}
+    for bit, chain in zip("10", chains[1:]):
+        transitions[(0, bit)].add(chain[0])
+    accepting = set(chains[0]) | {chain[-1] for chain in chains[1:]}
+    return Nfa(1 + len(chains) * k, ("0", "1"), transitions, {0, 1}, accepting)
+
+
+def test_a_repeated_word_is_not_stepped_again(monkeypatch):
+    # plays on universality games never stop early, so the word is read
+    # to its end; the second time every subset step is memoized
+    game, a1, _ = from_nfa_universality(_kth_from_last_nfa(4, False))
+    word = tuple(random.Random(4).choices("01", k=300))
+    stepped = []
+    step_set = Nfa.step_set
+
+    def counted(self, states, symbol):
+        stepped.append(symbol)
+        return step_set(self, states, symbol)
+
+    monkeypatch.setattr(Nfa, "step_set", counted)
+    won = is_winning(game, a1, word)
+    assert stepped
+    stepped.clear()
+    assert is_winning(game, a1, word) == won
+    assert stepped == []
+
+
 # exists_winning_sreg on 3SAT reductions: (variables, clauses, reroutes
 # found by dfs mode as {state: symbols}), recorded with the eagerly
 # saturated relations
@@ -625,3 +661,31 @@ def test_dominance_against_bounded_sets(data):
             assert diffs and diffs[0] == witness
         else:
             assert not diffs
+
+
+def _dominated_by_determinizing(game, first, second):
+    # the construction is_dominated replaced: a pair search on the two
+    # determinized losing NFAs
+    witness = subset_witness(
+        determinize(losing_nfa(game, second)), determinize(losing_nfa(game, first))
+    )
+    return witness is None, witness
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_is_dominated_matches_determinizing(data):
+    game = data.draw(st.one_of(small_finite_games(), small_regex_games()))
+    s1 = data.draw(random_strategies(game))
+    s2 = data.draw(random_strategies(game))
+    assert is_dominated(game, s1, s2) == _dominated_by_determinizing(game, s1, s2)
+    assert is_dominated(game, s2, s1) == _dominated_by_determinizing(game, s2, s1)
+
+
+@pytest.mark.parametrize("universal", [False, True])
+@pytest.mark.parametrize("k", range(2, 7))
+def test_is_dominated_matches_determinizing_on_universality_games(k, universal):
+    game, a1, a2 = from_nfa_universality(_kth_from_last_nfa(k, universal))
+    assert is_dominated(game, a1, a2) == _dominated_by_determinizing(game, a1, a2)
+    assert is_dominated(game, a2, a1) == _dominated_by_determinizing(game, a2, a1)
+    assert is_dominated(game, a1, a2)[0] == universal

@@ -5,6 +5,7 @@ from cfgame.automata import (
     Dfa,
     Nfa,
     RegexSyntaxError,
+    SubsetView,
     all_words_upto,
     coaccessible_states,
     compare_shortlex,
@@ -138,6 +139,19 @@ def test_glushkov_matches_ast_semantics(ast):
     expected = ast_language(ast, 5)
     assert brute_language(dfa.accepts, ALPHABET, 5) == expected
     assert brute_language(nfa.accepts, ALPHABET, 5) == expected
+
+
+@given(nfas())
+def test_subset_view_exhausted_breadth_first_is_determinize(nfa):
+    view = SubsetView(nfa)
+    transitions = {}
+    for i, subset in enumerate(view.subsets):  # grows while walked
+        assert view.index[subset] == i
+        for a in ALPHABET:
+            transitions[(i, a)] = view.step(i, a)
+    dfa = determinize(nfa)
+    assert transitions == dfa.transitions
+    assert {i for i in range(len(view.subsets)) if view.accepts(i)} == dfa.accepting
 
 
 @given(nfas())

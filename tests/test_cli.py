@@ -513,6 +513,35 @@ def test_online_prune_rejects_a_negative_bound(tmp_path, capsys):
     assert "diagnose_bounded" not in data
 
 
+@pytest.mark.parametrize(
+    "alphabet, error",
+    [(["b", "b"], "duplicate symbols in alphabet"), ([["a"], "b"], "unhashable")],
+    ids=["repeated-symbol", "list-symbol"],
+)
+def test_online_prune_rejects_a_bad_alphabet(alphabet, error, tmp_path):
+    instance = {
+        "alphabet": alphabet,
+        "states": 1,
+        "initial": 0,
+        "accepting": [0],
+        "transitions": [[0, "b", 0]],
+    }
+    (tmp_path / "instance.json").write_text(json.dumps(instance))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfgame", "--json", "online-prune", "instance.json"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env=package_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["exit"] == 2
+    assert error in data["error"]
+
+
 # ---------------------------------------------------------------------------
 # Error handling and output modes.
 

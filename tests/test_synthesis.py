@@ -357,7 +357,6 @@ def test_effect_set_masks_match_their_sets(seed, states, finite):
     ne = _random_ne(seed, states, finite)
     for i, members in enumerate(ne.subsets):
         assert ne.masks[i] == _bitmask(members)
-        assert ne.index[members] == i
     effects = ne.effects
     target = ne.game.target
     n = target.n_states
