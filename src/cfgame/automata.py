@@ -731,8 +731,9 @@ def _transition_triples(data):
     """The (q, a, t) transition entries of an automaton description.
 
     Raises ValueError when the description is not an object, lacks a
-    field, has an alphabet that is not a list, or has a transitions
-    value that is not a list of hashable triples.
+    field, has an alphabet that is not a list of distinct strings, a
+    states value that is not a non-negative int, or a transitions value
+    that is not a list of hashable triples.
     """
     if not isinstance(data, dict):
         raise ValueError("automaton description must be an object")
@@ -742,6 +743,16 @@ def _transition_triples(data):
     for field in ("alphabet", "transitions"):
         if not isinstance(data[field], (list, tuple)):
             raise ValueError("%s must be a list, got %r" % (field, data[field]))
+    seen = set()
+    for a in data["alphabet"]:
+        if not isinstance(a, str):
+            raise ValueError("alphabet entry %r is not a string" % (a,))
+        if a in seen:
+            raise ValueError("duplicate symbols in alphabet: %r" % (a,))
+        seen.add(a)
+    states = data["states"]
+    if isinstance(states, bool) or not isinstance(states, int) or states < 0:
+        raise ValueError("states must be a non-negative int, got %r" % (states,))
     triples = []
     for entry in data["transitions"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
@@ -796,9 +807,6 @@ def nfa_from_dict(data):
         initials = [initials]
     try:
         nfa = Nfa(data["states"], data["alphabet"], transitions, initials, data["accepting"])
-        symbol_set = set(nfa.alphabet)
-        if len(symbol_set) != len(nfa.alphabet):
-            raise ValueError("duplicate symbols in alphabet")
         for q in nfa.initials | nfa.accepting | {s for s, _ in nfa.transitions}:
             if not 0 <= q < nfa.n_states:
                 raise ValueError("state %r out of range" % (q,))
@@ -808,8 +816,9 @@ def nfa_from_dict(data):
                     raise ValueError("state %r out of range" % (t,))
     except TypeError as exc:
         raise ValueError(str(exc)) from None
+    symbols = set(nfa.alphabet)
     for _, a in nfa.transitions:
-        if a not in symbol_set:
+        if a not in symbols:
             raise ValueError("transition on unknown symbol %r" % (a,))
     return nfa
 

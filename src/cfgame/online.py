@@ -26,9 +26,7 @@ from .automata import (
     Dfa,
     Nfa,
     SubsetView,
-    determinize,
     enumerate_upto,
-    equivalent,
     nfa_from_dict,
     nfa_to_dict,
     residual_order,
@@ -177,7 +175,9 @@ def prune_weakly_dominant(inst, masks=None):
 
     # Sanity: in the stabilized automaton, states reached together by the
     # same word have the same residual language, so a determinization
-    # subset that touches the accepting set lies inside it.
+    # subset that touches the accepting set lies inside it.  So the
+    # tie-break loses no words: min(succ) is a kept successor, and the
+    # state the table reaches by a word lies in the subset it reaches.
     view = SubsetView(pruned)
     for i, subset in enumerate(view.subsets):  # grows while walked
         assert not subset & nfa.accepting or subset <= nfa.accepting
@@ -185,10 +185,7 @@ def prune_weakly_dominant(inst, masks=None):
             view.step(i, a)
 
     table = {key: min(succ) for key, succ in transitions.items()}
-    dfa = Dfa(nfa.n_states, nfa.alphabet, table, inst.initial, nfa.accepting)
-    # the tie-break loses no words
-    assert equivalent(dfa, determinize(pruned))
-    return dfa
+    return Dfa(nfa.n_states, nfa.alphabet, table, inst.initial, nfa.accepting)
 
 
 def diagnose_bounded(inst, bound):

@@ -18,9 +18,9 @@ reply's membership in the replacement language is a fact about what the
 opponent wrote, not about what it was rewritten into.  Only the leaves
 depend on the candidate target set, so each round builds one scan graph
 per (p, a) and solves it for all target sets at once, as bitsets indexed
-by target-set bitmask.  Effect sets travel as int bitmasks (bit q for
-state q) end to end, and become frozensets only where they are stored,
-chosen or named as subset-automaton states.
+by target-set bitmask.  Effect sets are int bitmasks (bit q for state
+q) from admission to the strategy automaton; only EffectSet.triples(),
+NeAutomaton.subsets and the state labels name them as frozensets.
 """
 
 from collections import namedtuple
@@ -42,8 +42,8 @@ def _bitmask(states):
     return sum(1 << q for q in states)
 
 
-def _members(mask):
-    return frozenset(q for q in range(mask.bit_length()) if mask >> q & 1)
+def _states(mask):
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
 
 
 class EffectSet:
@@ -56,17 +56,15 @@ class EffectSet:
 
     def __init__(self, game):
         self.game = game
-        self.stored = {}    # (p, a) -> [frozenset, ...] in admission order
-        self.stratum = {}   # (p, a, frozenset) -> int
-        self.choice = {}    # (p, a, frozenset) -> scan choice map
-        self.masks = {}     # (p, a) -> [(bitmask, stratum), ...] as stored
+        self.masks = {}     # (p, a) -> [(bitmask, stratum), ...] in admission order
+        self.admitted = {}  # (p, a, bitmask) -> (stratum, choice map on bitmasks)
 
     def triples(self):
-        out = []
-        for (p, a), sets in sorted(self.stored.items()):
-            for s in sets:
-                out.append(EffectTriple(p, a, s))
-        return out
+        return [
+            EffectTriple(p, a, frozenset(_states(mask)))
+            for (p, a), opts in sorted(self.masks.items())
+            for mask, _ in opts
+        ]
 
     def option_masks(self, p, c, below=None):
         """Bitmasks of the effect sets usable on symbol c at target state
@@ -79,11 +77,10 @@ class EffectSet:
         return opts
 
     def fitting(self, p, c, inside, below=None):
-        """Smallest-bitmask usable effect set contained in the given
-        state set, or None."""
-        outside = ~_bitmask(inside)
-        fits = [m for m in self.option_masks(p, c, below) if not m & outside]
-        return _members(min(fits)) if fits else None
+        """Least usable effect-set bitmask inside the bitmask inside, or
+        None."""
+        fits = [m for m in self.option_masks(p, c, below) if not m & ~inside]
+        return min(fits, default=None)
 
 
 def _solve_scan(game, effects, p, a, live, below, upward):
@@ -162,15 +159,12 @@ def _scan_choice(nodes, edges, wins, mask):
     """Choice map of the scan for the target set of the given bitmask:
     (possible target states, reply state, symbol) goes to the
     least-bitmask option that keeps the scan winning, which a winning
-    node has on every symbol.  Only here do the masks become sets."""
+    node has on every symbol."""
     choice = {}
     for (members, y), out, w in zip(nodes, edges, wins):
-        if not w >> mask & 1:
-            continue
-        members = _members(members)
-        for c, opts in out:
-            good = [u for u, j in opts if wins[j] >> mask & 1]
-            choice[(members, y, c)] = _members(min(good))
+        if w >> mask & 1:
+            for c, opts in out:
+                choice[(members, y, c)] = min(u for u, j in opts if wins[j] >> mask & 1)
     return choice
 
 
@@ -227,11 +221,8 @@ def effect_fixpoint(game, cap=10):
                 free &= scan[2][0]
                 while free:
                     mask = (free & -free).bit_length() - 1
-                    s = _members(mask)
-                    effects.stored.setdefault((p, a), []).append(s)
-                    effects.stratum[(p, a, s)] = stratum
-                    effects.choice[(p, a, s)] = _scan_choice(*scan, mask)
                     effects.masks.setdefault((p, a), []).append((mask, stratum))
+                    effects.admitted[(p, a, mask)] = (stratum, _scan_choice(*scan, mask))
                     free &= ~upward(mask)
                     admitted = True
     return effects
@@ -272,7 +263,7 @@ class NeAutomaton:
         rejecting = ~_bitmask(target.accepting)
         accepting = {i for i, members in enumerate(masks) if not members & rejecting}
         self.masks = masks
-        self.subsets = [_members(members) for members in masks]
+        self.subsets = [frozenset(_states(members)) for members in masks]
         self.nfa = Nfa(len(masks), game.alphabet, transitions, {0}, accepting)
 
 
@@ -281,9 +272,9 @@ def _pointwise_successors(effects, members, c, below=None):
     symbol c, as bitmasks, optionally using only triples admitted below
     the given stratum.  Members are folded in one at a time, single-option
     ones first, deduplicating as it goes."""
-    states = [q for q in range(members.bit_length()) if members >> q & 1]
     unions = {0}
-    for opts in sorted((effects.option_masks(q, c, below) for q in states), key=len):
+    options = (effects.option_masks(q, c, below) for q in _states(members))
+    for opts in sorted(options, key=len):
         unions = {u | o for u in unions for o in opts}
     return unions
 
@@ -317,44 +308,44 @@ class _AutomatonBuilder:
 
     def realize(self, sid, q, c, inside, below, label):
         """Wire symbol c at state sid, with the target at q: read it when
-        the target's move lands inside the chosen set, otherwise call
-        the smallest fitting triple admitted below the given stratum.
-        label maps a landing target state to the label play continues
-        at.  Returns the landing target states."""
+        the target's move lands in the chosen set (the bitmask inside),
+        otherwise call the least fitting triple admitted below the given
+        stratum.  label maps a landing target state to the label play
+        continues at.  Returns the landing target states."""
         read_to = self.game.target.transitions[(q, c)]
-        if read_to in inside:
+        if inside >> read_to & 1:
             self.transitions[(sid, c)] = self.state(label(read_to))
             return [read_to]
         sub = self.effects.fitting(q, c, inside, below=below)
         assert sub is not None, "no admitted triple fits %r on %r" % (q, c)
         self.transitions[(sid, c)] = self.state(("call",))
-        landed = sorted(sub)
+        landed = _states(sub)
         entry = self.embed((q, c, sub), {r: label(r) for r in landed})
         self.transitions[(sid, hat(c))] = self.state(entry)
         return landed
 
     def embed(self, key, cont):
-        """Instantiate the scan of the triple (p, a, s) = key, following
-        its choice map; nodes pair the actual target state with the
-        scanner's (possible target states, reply state), and completed
+        """Instantiate the scan of the triple (p, a, mask) = key along its
+        choice map; nodes pair the actual target state with the scanner's
+        (possible target states as a bitmask, reply state), and completed
         replies go to the continuation labels.  Returns the entry label."""
         cont_key = tuple(sorted(cont.items()))
         memo = (key, cont_key)
         if memo in self.embedded:
             return self.embedded[memo]
-        p, a, _ = key
+        p, a, mask = key
         rdfa = self.game.replacement_dfa(a)
-        level = self.effects.stratum[key]
-        choice = self.effects.choice[key]
+        level, choice = self.effects.admitted[key]
         symbols = sorted(self.game.alphabet)
+        named = (p, a, frozenset(_states(mask)))
 
         def label_of(node):
             q, members, y = node
             if y in rdfa.accepting:
                 return cont[q]
-            return ("ind", key, q, members, y, cont_key)
+            return ("ind", named, q, frozenset(_states(members)), y, cont_key)
 
-        start = (p, frozenset([p]), rdfa.initial)
+        start = (p, 1 << p, rdfa.initial)
         entry = label_of(start)
         self.embedded[memo] = entry
         pending = [start]
@@ -411,13 +402,14 @@ class InducingAutomaton:
 
 def build_inducing_automaton(game, triple, effects):
     p, a, s = triple.p, triple.a, frozenset(triple.states)
-    if s not in effects.stored.get((p, a), ()):
+    key = (p, a, _bitmask(s))
+    if key not in effects.admitted:
         raise SynthesisError(
             "triple (%r, %r, %r) was never admitted" % (p, a, sorted(s))
         )
     builder = _AutomatonBuilder(game, effects)
     cont = {q: ("landed", q) for q in sorted(s)}
-    entry = builder.embed((p, a, s), cont)
+    entry = builder.embed(key, cont)
     probe = ("probe",)
     sid = builder.state(probe)
     builder.transitions[(sid, a)] = builder.state(("call",))
@@ -465,7 +457,7 @@ def build_top_automaton(game, effects):
         for c in game.alphabet:
             d2 = pruned.transitions[(d, c)]
             landed = builder.realize(
-                sid, p, c, ne.subsets[d2], None, lambda r: ("top", r, d2)
+                sid, p, c, ne.masks[d2], None, lambda r: ("top", r, d2)
             )
             for r in landed:
                 if (r, d2) not in seen:

@@ -11,11 +11,13 @@ from cfgame.automata import (
     compare_shortlex,
     complement,
     determinize,
+    dfa_from_dict,
     enumerate_upto,
     equivalent,
     is_prefix_free,
     language_is_finite,
     minimize,
+    nfa_from_dict,
     parse_regex,
     regex_nullable,
     regex_symbols,
@@ -450,3 +452,31 @@ def test_to_dot_smoke():
     assert dot.rstrip().endswith("}")
     nfa = Nfa(2, ALPHABET, {(0, "a"): {0, 1}}, {0}, {1})
     assert "0 -> 1" in to_dot(nfa)
+
+
+@pytest.mark.parametrize("reader", [dfa_from_dict, nfa_from_dict])
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("alphabet", [0, "a"], "alphabet entry 0 is not a string"),
+        ("alphabet", [["a"], "a"], "alphabet entry ['a'] is not a string"),
+        ("alphabet", ["a", "a"], "duplicate symbols in alphabet: 'a'"),
+        ("states", 1.5, "states must be a non-negative int, got 1.5"),
+        ("states", True, "states must be a non-negative int, got True"),
+        ("states", -1, "states must be a non-negative int, got -1"),
+    ],
+)
+def test_automaton_readers_check_the_alphabet_and_the_state_count(
+    reader, field, value, error
+):
+    data = {
+        "alphabet": ["a"],
+        "states": 1,
+        "initial": 0,
+        "accepting": [0],
+        "transitions": [[0, "a", 0]],
+    }
+    assert reader(data).n_states == 1
+    with pytest.raises(ValueError) as info:
+        reader(dict(data, **{field: value}))
+    assert str(info.value) == error

@@ -515,7 +515,10 @@ def test_online_prune_rejects_a_negative_bound(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "alphabet, error",
-    [(["b", "b"], "duplicate symbols in alphabet"), ([["a"], "b"], "unhashable")],
+    [
+        (["b", "b"], "duplicate symbols in alphabet"),
+        ([["a"], "b"], "alphabet entry ['a'] is not a string"),
+    ],
     ids=["repeated-symbol", "list-symbol"],
 )
 def test_online_prune_rejects_a_bad_alphabet(alphabet, error, tmp_path):
@@ -740,6 +743,42 @@ MALFORMED_INPUTS = {
                 "initial": 0,
                 "accepting": [0],
                 "transitions": [[0, "a", 0]],
+            }
+        },
+    ),
+    "online-states-float": (
+        ["online-prune", "instance.json"],
+        {
+            "instance.json": {
+                "alphabet": ["a"],
+                "states": 1.5,
+                "initial": 0,
+                "accepting": [0],
+                "transitions": [[0, "a", 0]],
+            }
+        },
+    ),
+    "online-alphabet-number": (
+        ["online-prune", "instance.json"],
+        {
+            "instance.json": {
+                "alphabet": [0, "a"],
+                "states": 1,
+                "initial": 0,
+                "accepting": [0],
+                "transitions": [[0, 0, 0], [0, "a", 0]],
+            }
+        },
+    ),
+    "online-alphabet-numbers-dot": (
+        ["online-prune", "instance.json", "--dot", "instance.dot"],
+        {
+            "instance.json": {
+                "alphabet": [0, 1],
+                "states": 1,
+                "initial": 0,
+                "accepting": [0],
+                "transitions": [[0, 0, 0], [0, 1, 0]],
             }
         },
     ),

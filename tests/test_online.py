@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfgame.analysis import BudgetExceeded
-from cfgame.automata import Dfa, Nfa, enumerate_upto, shortlex_key
+from cfgame.automata import Dfa, Nfa, determinize, enumerate_upto, equivalent, shortlex_key
+from cfgame.generators import random_game
 from cfgame.online import (
     OnlineFormatError,
     OnlineInstance,
@@ -16,6 +17,7 @@ from cfgame.online import (
     load_online_instance,
     prune_weakly_dominant,
 )
+from cfgame.synthesis import build_ne, effect_fixpoint
 from oracles import brute_force_best_online, online_win_set, pruning_keep_sets
 
 
@@ -202,6 +204,33 @@ def test_pruning_beats_every_table(inst, seed):
 @given(total_instances())
 def test_pruned_transitions_match_the_oracle(inst):
     assert _pruned_transitions(inst) == pruning_keep_sets(inst)
+
+
+def assert_keeps_the_pruned_language(inst, masks=None):
+    # the tie-break table loses no word of the pruned automaton
+    nfa = inst.nfa
+    kept = _pruned_transitions(inst, masks)
+    pruned = Nfa(nfa.n_states, nfa.alphabet, kept, {inst.initial}, nfa.accepting)
+    assert equivalent(prune_weakly_dominant(inst, masks), determinize(pruned))
+
+
+@settings(deadline=None, max_examples=300)
+@given(total_instances())
+def test_the_pruned_dfa_keeps_the_pruned_language(inst):
+    assert_keeps_the_pruned_language(inst)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10_000),
+    states=st.integers(2, 4),
+    finite=st.booleans(),
+)
+def test_the_pruned_ne_dfa_keeps_the_pruned_language(seed, states, finite):
+    constraints = ["prefix_free"] + (["finite_replacement"] if finite else [])
+    game = random_game({"constraints": constraints, "target_states": states}, seed)
+    ne = build_ne(game, effect_fixpoint(game))
+    assert_keeps_the_pruned_language(OnlineInstance(ne.nfa), ne.masks)
 
 
 def test_online_win_set_table_agrees_with_dfa():

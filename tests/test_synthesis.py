@@ -21,6 +21,7 @@ from cfgame.synthesis import (
     EffectTriple,
     SynthesisError,
     _bitmask,
+    _states,
     build_inducing_automaton,
     build_ne,
     build_top_automaton,
@@ -97,7 +98,7 @@ def test_nested_call_effects_are_admitted():
     effects = effect_fixpoint(game)
     landed = game.target.transitions[(game.target.initial, "c")]
     key = (game.target.initial, "a")
-    assert frozenset([landed]) in effects.stored.get(key, [])
+    assert EffectTriple(*key, frozenset([landed])) in effects.triples()
     # not trivial: reading a does not land there
     assert game.target.transitions[key] != landed
     strat = synthesize_weakly_dominant(game)
@@ -113,7 +114,7 @@ def test_transformed_sandbox_admits_the_call_effect():
     target = game.target
     effects = effect_fixpoint(game)
     landed = target.transitions[(target.transitions[(target.initial, "b")], "$")]
-    assert frozenset([landed]) in effects.stored.get((target.initial, "a"), [])
+    assert EffectTriple(target.initial, "a", frozenset([landed])) in effects.triples()
     strat = build_top_automaton(game, effects)
     # the subset automaton knows the run where a is called, even though
     # the pruned strategy prefers reading the a (ab sorts before ac)
@@ -297,9 +298,19 @@ def test_effect_fixpoint_matches_the_per_set_referee(seed, states, finite):
         game.target.n_states, game.alphabet, game.target.transitions, replies
     )
     effects = effect_fixpoint(game)
-    assert effects.stored == stored
-    assert effects.stratum == stratum
-    assert effects.choice == choice
+
+    def as_set(mask):
+        return frozenset(_states(mask))
+
+    assert stored == {
+        key: [as_set(mask) for mask, _ in opts] for key, opts in effects.masks.items()
+    }
+    admitted = {(p, a, as_set(mask)): v for (p, a, mask), v in effects.admitted.items()}
+    assert stratum == {key: level for key, (level, _) in admitted.items()}
+    assert choice == {
+        key: {(as_set(m), y, c): as_set(u) for (m, y, c), u in ch.items()}
+        for key, (_, ch) in admitted.items()
+    }
 
 
 def _random_ne(seed, states, finite):
@@ -361,16 +372,15 @@ def test_effect_set_masks_match_their_sets(seed, states, finite):
     target = ne.game.target
     n = target.n_states
     insides = [frozenset(q for q in range(n) if m >> q & 1) for m in range(1 << n)]
-    strata = [None] + sorted(set(effects.stratum.values()) | {1}) + [
-        max(effects.stratum.values(), default=0) + 1
-    ]
+    levels = {level for level, _ in effects.admitted.values()}
+    strata = [None] + sorted(levels | {1}) + [max(levels, default=0) + 1]
 
     def referee(p, c, inside, below):
-        # the smallest-bitmask read or stored option inside the set
+        # the smallest-bitmask read or admitted option inside the set
         options = [frozenset([target.transitions[(p, c)]])] + [
-            s
-            for s in effects.stored.get((p, c), [])
-            if below is None or effects.stratum[(p, c, s)] < below
+            frozenset(_states(mask))
+            for mask, level in effects.masks.get((p, c), [])
+            if below is None or level < below
         ]
         fits = [s for s in options if s <= inside]
         return min(fits, key=lambda s: sum(1 << q for q in s), default=None)
@@ -380,4 +390,5 @@ def test_effect_set_masks_match_their_sets(seed, states, finite):
             for inside in insides:
                 for below in strata:
                     expected = referee(p, c, inside, below)
-                    assert effects.fitting(p, c, inside, below) == expected
+                    got = effects.fitting(p, c, _bitmask(inside), below)
+                    assert got == (None if expected is None else _bitmask(expected))
