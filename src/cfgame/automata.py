@@ -9,6 +9,7 @@ words reach all read a SubsetView; determinize keeps its own exhaustive loop.
 
 from collections import deque
 import itertools
+import json
 
 
 class RegexSyntaxError(ValueError):
@@ -152,21 +153,6 @@ def regex_symbols(node):
     return regex_symbols(node[1]) | regex_symbols(node[2])
 
 
-def regex_nullable(node):
-    kind = node[0]
-    if kind == "sym":
-        return False
-    if kind == "eps":
-        return True
-    if kind == "cat":
-        return regex_nullable(node[1]) and regex_nullable(node[2])
-    if kind == "alt":
-        return regex_nullable(node[1]) or regex_nullable(node[2])
-    if kind == "star":
-        return True
-    raise ValueError("bad AST node %r" % (node,))
-
-
 # ---------------------------------------------------------------------------
 # Automata.
 
@@ -260,27 +246,20 @@ class Nfa:
 
 
 def regex_to_nfa(node, alphabet):
-    """Glushkov position construction; the result has no epsilon moves."""
-    positions = []
+    """Glushkov position construction; the result has no epsilon moves.
+    State p > 0 is the p-th symbol leaf from the left; the start state 0
+    accepts exactly when the AST is nullable."""
+    positions = []  # positions[p - 1] is the symbol at position p
+    follow = {}
 
-    def number(n):
+    def analyze(n):
+        # returns (nullable, first, last); numbers leaves, fills follow
         kind = n[0]
         if kind == "sym":
             positions.append(n[1])
-            return ("pos", len(positions), n[1])
-        if kind == "eps":
-            return n
-        if kind == "star":
-            return ("star", number(n[1]))
-        return (kind, number(n[1]), number(n[2]))
-
-    numbered = number(node)
-
-    def analyze(n):
-        # returns (nullable, first, last); fills follow
-        kind = n[0]
-        if kind == "pos":
-            return (False, {n[1]}, {n[1]})
+            p = len(positions)
+            follow[p] = set()
+            return (False, {p}, {p})
         if kind == "eps":
             return (True, set(), set())
         if kind == "cat":
@@ -302,8 +281,7 @@ def regex_to_nfa(node, alphabet):
             return (True, f1, l1)
         raise ValueError("bad AST node %r" % (n,))
 
-    follow = {p: set() for p in range(1, len(positions) + 1)}
-    nullable, first, last = analyze(numbered)
+    nullable, first, last = analyze(node)
 
     transitions = {}
     for p in first:
@@ -370,7 +348,8 @@ def _moore_blocks(states, alphabet, transitions, accepting):
     map from (state, symbol)) must not leave.
 
     Returns the map from each state to its block number; two states
-    share a block exactly when they accept the same language.
+    share a block exactly when they accept the same language.  Blocks are
+    numbered 0, 1, ... in the order of their first members in states.
     """
     successors = [(q, [transitions[(q, a)] for a in alphabet]) for q in states]
     block = {q: (1 if q in accepting else 0) for q, _ in successors}
@@ -403,33 +382,21 @@ def minimize(dfa):
                 seen.add(t)
                 reachable.append(t)
 
+    # Blocks are numbered in the order reachable first meets them, which is
+    # the quotient's own breadth-first order: this FIFO search visits states
+    # in shortlex order of their least access words, and a block's least
+    # access word is the least of its members' least access words.
     block = _moore_blocks(reachable, dfa.alphabet, dfa.transitions, dfa.accepting)
-
-    # Canonical numbering of blocks by BFS from the initial block.
-    rep = {}
+    rep = {}  # block -> its first member in reachable
     for q in reachable:
         rep.setdefault(block[q], q)
-    numbering = {block[dfa.initial]: 0}
-    frontier = deque([block[dfa.initial]])
-    while frontier:
-        b = frontier.popleft()
-        q = rep[b]
-        for a in dfa.alphabet:
-            nb = block[dfa.transitions[(q, a)]]
-            if nb not in numbering:
-                numbering[nb] = len(numbering)
-                frontier.append(nb)
-
-    n = len(numbering)
-    transitions = {}
-    accepting = set()
-    for b, i in numbering.items():
-        q = rep[b]
-        for a in dfa.alphabet:
-            transitions[(i, a)] = numbering[block[dfa.transitions[(q, a)]]]
-        if q in dfa.accepting:
-            accepting.add(i)
-    return Dfa(n, dfa.alphabet, transitions, 0, accepting)
+    transitions = {
+        (b, a): block[dfa.transitions[(q, a)]]
+        for b, q in rep.items()
+        for a in dfa.alphabet
+    }
+    accepting = {b for b, q in rep.items() if q in dfa.accepting}
+    return Dfa(len(rep), dfa.alphabet, transitions, 0, accepting)
 
 
 def complement(dfa):
@@ -727,60 +694,70 @@ def dfa_to_dict(dfa):
     }
 
 
-def _transition_triples(data):
-    """The (q, a, t) transition entries of an automaton description.
+def _transition_triples(data, initial_set=False):
+    """The initial states, as a list, and the (q, a, t) transition entries
+    of an automaton description.
 
-    Raises ValueError when the description is not an object, lacks a
-    field, has an alphabet that is not a list of distinct strings, a
-    states value that is not a non-negative int, or a transitions value
-    that is not a list of hashable triples.
+    Raises ValueError unless the description is an object with every
+    field, its alphabet a list of distinct strings, states a non-negative
+    int, accepting and transitions lists and each transition entry a
+    triple on an alphabet symbol, and unless every state value (initial,
+    which may be a list of states when initial_set, each accepting entry
+    and each transition's source and target) is an int, not a bool, in
+    range(states).
     """
     if not isinstance(data, dict):
         raise ValueError("automaton description must be an object")
     for field in ("alphabet", "states", "initial", "accepting", "transitions"):
         if field not in data:
             raise ValueError("automaton is missing %r" % field)
-    for field in ("alphabet", "transitions"):
+    for field in ("alphabet", "accepting", "transitions"):
         if not isinstance(data[field], (list, tuple)):
             raise ValueError("%s must be a list, got %r" % (field, data[field]))
-    seen = set()
+    symbols = set()
     for a in data["alphabet"]:
         if not isinstance(a, str):
             raise ValueError("alphabet entry %r is not a string" % (a,))
-        if a in seen:
+        if a in symbols:
             raise ValueError("duplicate symbols in alphabet: %r" % (a,))
-        seen.add(a)
+        symbols.add(a)
     states = data["states"]
     if isinstance(states, bool) or not isinstance(states, int) or states < 0:
         raise ValueError("states must be a non-negative int, got %r" % (states,))
+
+    def check(role, q):
+        if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q < states:
+            raise ValueError("%s %r is not an int in range(%d)" % (role, q, states))
+
+    initials = data["initial"]
+    if not (initial_set and isinstance(initials, (list, tuple))):
+        initials = [initials]
+    for q in initials:
+        check("initial state", q)
+    for q in data["accepting"]:
+        check("accepting state", q)
     triples = []
     for entry in data["transitions"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise ValueError("bad transition entry %r" % (entry,))
-        try:
-            hash(tuple(entry))
-        except TypeError:
-            raise ValueError("unhashable transition entry %r" % (entry,)) from None
-        triples.append(tuple(entry))
-    return triples
+        q, a, t = entry
+        check("transition source", q)
+        check("transition target", t)
+        if not (isinstance(a, str) and a in symbols):
+            raise ValueError("transition on unknown symbol %r" % (a,))
+        triples.append((q, a, t))
+    return initials, triples
 
 
 def dfa_from_dict(data):
     transitions = {}
-    for q, a, t in _transition_triples(data):
+    for q, a, t in _transition_triples(data)[1]:
         if (q, a) in transitions:
             raise ValueError("duplicate transition for state %r on %r" % (q, a))
         transitions[(q, a)] = t
-    try:
-        dfa = Dfa(
-            data["states"], data["alphabet"], transitions, data["initial"], data["accepting"]
-        )
-    except TypeError as exc:
-        raise ValueError(str(exc)) from None
-    for t in transitions.values():
-        if not (isinstance(t, int) and 0 <= t < dfa.n_states):
-            raise ValueError("transition target %r out of range" % (t,))
-    return dfa
+    return Dfa(
+        data["states"], data["alphabet"], transitions, data["initial"], data["accepting"]
+    )
 
 
 def nfa_to_dict(nfa):
@@ -799,28 +776,23 @@ def nfa_to_dict(nfa):
 
 
 def nfa_from_dict(data):
+    """An Nfa from its description, whose initial is a state or a list."""
+    initials, triples = _transition_triples(data, initial_set=True)
     transitions = {}
-    for q, a, t in _transition_triples(data):
+    for q, a, t in triples:
         transitions.setdefault((q, a), set()).add(t)
-    initials = data["initial"]
-    if isinstance(initials, int):
-        initials = [initials]
+    return Nfa(data["states"], data["alphabet"], transitions, initials, data["accepting"])
+
+
+def parse_json(text, error):
+    """The JSON value of text (str, or UTF-8 bytes); raises error with
+    "invalid JSON: ..." when it does not parse."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     try:
-        nfa = Nfa(data["states"], data["alphabet"], transitions, initials, data["accepting"])
-        for q in nfa.initials | nfa.accepting | {s for s, _ in nfa.transitions}:
-            if not 0 <= q < nfa.n_states:
-                raise ValueError("state %r out of range" % (q,))
-        for targets in nfa.transitions.values():
-            for t in targets:
-                if not 0 <= t < nfa.n_states:
-                    raise ValueError("state %r out of range" % (t,))
-    except TypeError as exc:
-        raise ValueError(str(exc)) from None
-    symbols = set(nfa.alphabet)
-    for _, a in nfa.transitions:
-        if a not in symbols:
-            raise ValueError("transition on unknown symbol %r" % (a,))
-    return nfa
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error("invalid JSON: %s" % exc) from None
 
 
 def _gvquote(label):

@@ -29,6 +29,7 @@ from .games import (
     GameFormatError,
     classify,
     dump_game,
+    flatten_history,
     format_word,
     load_game,
     parse_word,
@@ -217,9 +218,7 @@ def cmd_transform(args):
 
 def _interactive_romeo(game):
     def tau(history, symbol):
-        state = game.target.run(
-            tuple(s for s in history if not s.startswith("^"))
-        )
+        state = game.target.run(flatten_history(history))
         print("history : %s" % (format_word(history) or "(empty)"))
         print("T-state : %d" % state)
         while True:
@@ -454,7 +453,7 @@ def cmd_generate_universality(args):
     data = _read_file(args.nfa)
     try:
         nfa = nfa_from_dict(json.loads(data))
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise CliError("bad NFA file %s: %s" % (args.nfa, exc))
     try:
         game, a1, a2 = from_nfa_universality(nfa)

@@ -19,8 +19,8 @@ from .automata import (
     is_prefix_free,
     language_is_finite,
     minimize,
+    parse_json,
     parse_regex,
-    regex_nullable,
     regex_symbols,
     regex_to_nfa,
     regex_to_text,
@@ -135,6 +135,7 @@ class Game:
         symbol_set = set(self.alphabet)
 
         self.rules = {}
+        self._rule_dfas = {}
         for sym, rx in rules.items():
             if sym not in symbol_set:
                 raise GameFormatError("rule for unknown symbol %r" % (sym,))
@@ -150,11 +151,13 @@ class Game:
                 raise GameFormatError(
                     "rule for %r uses unknown symbols %s" % (sym, sorted(unknown))
                 )
-            if regex_nullable(ast):
+            nfa = regex_to_nfa(ast, self.alphabet)
+            if 0 in nfa.accepting:
                 raise GameFormatError(
                     "replacement language for %r contains the empty word" % (sym,)
                 )
             self.rules[sym] = ast
+            self._rule_dfas[sym] = minimize(determinize(nfa))
 
         self.function_symbols = tuple(a for a in self.alphabet if a in self.rules)
         self.hist_alphabet = self.alphabet + tuple(hat(a) for a in self.function_symbols)
@@ -183,11 +186,6 @@ class Game:
             )
             target = reduced
         self.target = target
-
-        self._rule_dfas = {
-            sym: minimize(determinize(regex_to_nfa(ast, self.alphabet)))
-            for sym, ast in self.rules.items()
-        }
         self.name = name
 
     def replacement_dfa(self, symbol):
@@ -262,13 +260,7 @@ def game_from_dict(data):
 
 def load_game(text):
     """Parse a game file (JSON text or bytes) into a Game."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError("invalid JSON: %s" % exc) from None
-    return game_from_dict(data)
+    return game_from_dict(parse_json(text, GameFormatError))
 
 
 def dump_game(game, indent=2):

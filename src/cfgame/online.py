@@ -29,6 +29,7 @@ from .automata import (
     enumerate_upto,
     nfa_from_dict,
     nfa_to_dict,
+    parse_json,
     residual_order,
     shortlex_key,
 )
@@ -72,14 +73,8 @@ class OnlineInstance:
 
 
 def load_online_instance(text):
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise OnlineFormatError("not valid JSON: %s" % exc) from None
-    try:
-        nfa = nfa_from_dict(data)
+        nfa = nfa_from_dict(parse_json(text, OnlineFormatError))
     except ValueError as exc:
         raise OnlineFormatError(str(exc)) from None
     return OnlineInstance(nfa)

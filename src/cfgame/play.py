@@ -23,6 +23,7 @@ from .automata import (
     Dfa,
     dfa_from_dict,
     dfa_to_dict,
+    parse_json,
     shortlex_min_word,
 )
 from .games import flatten_history, hat
@@ -240,6 +241,7 @@ def strategy_from_dict(data):
                 isinstance(entry, (list, tuple))
                 and len(entry) == 2
                 and isinstance(entry[0], int)
+                and not isinstance(entry[0], bool)
                 and isinstance(entry[1], str)
             ):
                 raise StrategyFormatError("bad reroute entry %r" % (entry,))
@@ -256,13 +258,7 @@ def strategy_from_dict(data):
 
 
 def load_strategy(text):
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StrategyFormatError("invalid JSON: %s" % exc) from None
-    return strategy_from_dict(data)
+    return strategy_from_dict(parse_json(text, StrategyFormatError))
 
 
 def dump_strategy(strategy, indent=2):

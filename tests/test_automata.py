@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,6 @@ from cfgame.automata import (
     minimize,
     nfa_from_dict,
     parse_regex,
-    regex_nullable,
     regex_symbols,
     regex_to_nfa,
     regex_to_text,
@@ -122,7 +123,7 @@ def test_regex_text_round_trip(ast):
 @given(regex_asts())
 def test_regex_symbols_and_nullable(ast):
     lang = ast_language(ast, 4)
-    assert (() in lang) == regex_nullable(ast)
+    assert (() in lang) == (0 in regex_to_nfa(ast, ALPHABET).accepting)
     used = set()
     for w in lang:
         used.update(w)
@@ -187,6 +188,53 @@ def test_minimize_is_canonical(dfa):
         {last - q for q in dfa.accepting},
     )
     assert minimize(renumbered) == small
+
+
+def quotient_bfs_minimize(dfa):
+    """Moore blocks of the reachable states, numbered by a breadth-first
+    search of the quotient from the initial block in alphabet order."""
+    reachable = [dfa.initial]
+    for q in reachable:
+        for a in dfa.alphabet:
+            if dfa.transitions[(q, a)] not in reachable:
+                reachable.append(dfa.transitions[(q, a)])
+    block = {q: q in dfa.accepting for q in reachable}
+    while True:
+        ids = {}
+        refined = {
+            q: ids.setdefault(
+                (block[q], *[block[dfa.transitions[(q, a)]] for a in dfa.alphabet]),
+                len(ids),
+            )
+            for q in reachable
+        }
+        if len(ids) == len(set(block.values())):
+            break
+        block = refined
+    rep = {}
+    for q in reachable:
+        rep.setdefault(block[q], q)
+    numbering = {block[dfa.initial]: 0}
+    queue = deque([block[dfa.initial]])
+    while queue:
+        q = rep[queue.popleft()]
+        for a in dfa.alphabet:
+            b = block[dfa.transitions[(q, a)]]
+            if b not in numbering:
+                numbering[b] = len(numbering)
+                queue.append(b)
+    transitions = {
+        (numbering[b], a): numbering[block[dfa.transitions[(rep[b], a)]]]
+        for b in numbering
+        for a in dfa.alphabet
+    }
+    accepting = {numbering[b] for b in numbering if rep[b] in dfa.accepting}
+    return Dfa(len(numbering), dfa.alphabet, transitions, 0, accepting)
+
+
+@given(dfas(max_states=6))
+def test_minimize_numbers_blocks_by_a_bfs_of_the_quotient(dfa):
+    assert minimize(dfa) == quotient_bfs_minimize(dfa)
 
 
 @given(regex_asts())
@@ -464,6 +512,17 @@ def test_to_dot_smoke():
         ("states", 1.5, "states must be a non-negative int, got 1.5"),
         ("states", True, "states must be a non-negative int, got True"),
         ("states", -1, "states must be a non-negative int, got -1"),
+        ("initial", True, "initial state True is not an int in range(1)"),
+        ("initial", 1, "initial state 1 is not an int in range(1)"),
+        ("accepting", [True], "accepting state True is not an int in range(1)"),
+        ("accepting", [0.0], "accepting state 0.0 is not an int in range(1)"),
+        ("accepting", 0, "accepting must be a list, got 0"),
+        ("transitions", [[0.0, "a", 0]], "transition source 0.0 is not an int in range(1)"),
+        ("transitions", [[[0], "a", 0]], "transition source [0] is not an int in range(1)"),
+        ("transitions", [[0, "a", 0.0]], "transition target 0.0 is not an int in range(1)"),
+        ("transitions", [[0, "a", 7]], "transition target 7 is not an int in range(1)"),
+        ("transitions", [[0, "a", 0], [0, "b", 0]], "transition on unknown symbol 'b'"),
+        ("transitions", [[0, ["a"], 0]], "transition on unknown symbol ['a']"),
     ],
 )
 def test_automaton_readers_check_the_alphabet_and_the_state_count(
@@ -480,3 +539,20 @@ def test_automaton_readers_check_the_alphabet_and_the_state_count(
     with pytest.raises(ValueError) as info:
         reader(dict(data, **{field: value}))
     assert str(info.value) == error
+
+
+def test_nfa_reader_checks_each_initial_state():
+    data = {
+        "alphabet": ["a"],
+        "states": 2,
+        "initial": [0, 1],
+        "accepting": [1],
+        "transitions": [[0, "a", 1]],
+    }
+    assert nfa_from_dict(data).initials == {0, 1}
+    with pytest.raises(ValueError) as info:
+        nfa_from_dict(dict(data, initial=[0, False]))
+    assert str(info.value) == "initial state False is not an int in range(2)"
+    with pytest.raises(ValueError) as info:
+        dfa_from_dict(dict(data, initial=[0]))
+    assert str(info.value) == "initial state [0] is not an int in range(2)"

@@ -770,6 +770,62 @@ MALFORMED_INPUTS = {
             }
         },
     ),
+    "online-accepting-bool": (
+        ["online-prune", "instance.json"],
+        {
+            "instance.json": {
+                "alphabet": ["a"],
+                "states": 2,
+                "initial": 0,
+                "accepting": [True],
+                "transitions": [[0, "a", 1], [1, "a", 0]],
+            }
+        },
+    ),
+    "online-target-float": (
+        ["online-prune", "instance.json"],
+        {
+            "instance.json": {
+                "alphabet": ["a"],
+                "states": 2,
+                "initial": 0,
+                "accepting": [1],
+                "transitions": [[0, "a", 1], [1, "a", 0.0]],
+            }
+        },
+    ),
+    "strategy-accepting-float": (
+        ["is-winning", "game.json", "--strategy", "sigma.json", "--word", "a"],
+        {
+            "game.json": ONE_STATE_GAME,
+            "sigma.json": {
+                "kind": "forgetful",
+                "automaton": {
+                    "alphabet": ["a", "b"],
+                    "states": 1,
+                    "initial": 0,
+                    "accepting": [0.0],
+                    "transitions": [[0, "a", 0], [0, "b", 0]],
+                },
+            },
+        },
+    ),
+    "reroute-state-bool": (
+        ["is-winning", "fixture:sandbox", "--strategy", "sigma.json", "--word", "a"],
+        {"sigma.json": {"kind": "strongly-regular", "reroutes": [[True, "a"]]}},
+    ),
+    "universality-nfa-accepting-float": (
+        ["generate", "universality", "--nfa", "nfa.json", "--out", "uni"],
+        {
+            "nfa.json": {
+                "alphabet": ["0", "1"],
+                "states": 1,
+                "initial": 0,
+                "accepting": [0.0],
+                "transitions": [[0, "0", 0], [0, "1", 0]],
+            }
+        },
+    ),
     "online-alphabet-numbers-dot": (
         ["online-prune", "instance.json", "--dot", "instance.dot"],
         {

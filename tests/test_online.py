@@ -95,7 +95,7 @@ def test_json_round_trip():
     again = load_online_instance(dump_online_instance(inst))
     assert again.nfa.transitions == inst.nfa.transitions
     assert again.nfa.accepting == inst.nfa.accepting
-    with pytest.raises(OnlineFormatError):
+    with pytest.raises(OnlineFormatError, match="^invalid JSON: "):
         load_online_instance("not json at all {")
     with pytest.raises(OnlineFormatError):
         load_online_instance('{"states": 1}')
