@@ -39,35 +39,13 @@ def _key_of(node):
     return node
 
 
-class _KeyIndex:
-    """Subexpression keys of all replacement rules.
-
-    parts maps a concatenation or alternative key to the keys of its two
-    parts and a star key to the key of its body; rule_key maps a function
-    symbol to the key of its rule.
-    """
-
-    def __init__(self, game):
-        self.parts = {}
-        self.rule_key = {
-            sym: self._walk(game.rules[sym]) for sym in game.function_symbols
-        }
-
-    def _walk(self, node):
-        k = _key_of(node)
-        if node[0] in ("cat", "alt"):
-            self.parts[k] = (self._walk(node[1]), self._walk(node[2]))
-        elif node[0] == "star":
-            self.parts[k] = self._walk(node[1])
-        return k
-
-
 class Relations:
     """Move, next and inf facts for one strategy on one game, on demand.
 
     States are the reachable (strategy state, target state) pairs, index
-    0 the initial one.  A configuration (i, r) is a state i and a key r,
-    a symbol or a subexpression of a rule.  Once demanded:
+    0 the initial one.  A configuration (i, r) is a state i and a key r:
+    a node of a rule's AST, except that a sym leaf is keyed by its
+    symbol.  Once demanded:
 
       * j in move[(i, r)] says processing r at i can finish in j,
       * (i, r) in inf says it can go on forever,
@@ -79,44 +57,35 @@ class Relations:
     attributes hold only the facts derived so far.
     """
 
-    def __init__(self, game, strategy, keys=None):
-        self.automaton = strategy_automaton(game, strategy)
-        self.keys = keys if keys is not None else _KeyIndex(game)
-        sdfa = self.automaton
+    def __init__(self, game, strategy):
+        sdfa = strategy_automaton(game, strategy)
         targ = game.target
+        self.rules = game.rules
 
-        # Reachable product pairs, following the move a play would make.
+        # Reachable product pairs, following the move a play would make:
+        # succ[(i, a)] is the pair after reading a at i or, when (i, a)
+        # is in calls, the pair the replacement expression starts from.
         start = (sdfa.initial, targ.initial)
         self.pairs = [start]
         self.index = {start: 0}
         self.calls = set()
-        self.read_to = {}
-        self.hat_to = {}
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            p, q = self.pairs[i]
+        self.succ = {}
+        for i, (p, q) in enumerate(self.pairs):  # grows while walked: a BFS queue
             for a in game.alphabet:
                 if a in game.rules and sdfa.transitions[(p, a)] in sdfa.accepting:
                     self.calls.add((i, a))
                     dest = (sdfa.transitions[(p, hat(a))], q)
-                    self.hat_to[(i, a)] = self._intern(dest, queue)
                 else:
                     dest = (sdfa.transitions[(p, a)], targ.transitions[(q, a)])
-                    self.read_to[(i, a)] = self._intern(dest, queue)
+                j = self.index.get(dest)
+                if j is None:
+                    j = self.index[dest] = len(self.pairs)
+                    self.pairs.append(dest)
+                self.succ[(i, a)] = j
         self.move = {}
         self.next_rel = {}
         self.inf = set()
         self._waiters = {}
-
-    def _intern(self, pair, queue):
-        j = self.index.get(pair)
-        if j is None:
-            j = len(self.pairs)
-            self.index[pair] = j
-            self.pairs.append(pair)
-            queue.append(j)
-        return j
 
     def target_of(self, i):
         return self.pairs[i][1]
@@ -126,16 +95,16 @@ class Relations:
         i, k = config
         if isinstance(k, str):
             if config in self.calls:
-                return [(self.hat_to[config], self.keys.rule_key[k])]
+                return [(self.succ[config], _key_of(self.rules[k]))]
             return []
         tag = k[0]
         if tag == "cat":
-            left, right = self.keys.parts[k]
+            left, right = _key_of(k[1]), _key_of(k[2])
             return [(i, left)] + [(j, right) for j in self.move[(i, left)]]
         if tag == "alt":
-            return [(i, part) for part in self.keys.parts[k]]
+            return [(i, _key_of(k[1])), (i, _key_of(k[2]))]
         if tag == "star":
-            return [(j, self.keys.parts[k]) for j in self.move[config]]
+            return [(j, _key_of(k[1])) for j in self.move[config]]
         return []
 
     def demand(self, configs):
@@ -145,7 +114,7 @@ class Relations:
         Move facts are tabulated: a configuration waits on the parts it
         is built from and is told each of their results.
         """
-        move, waiters, parts = self.move, self._waiters, self.keys.parts
+        move, waiters, rules = self.move, self._waiters, self.rules
         fresh = []
         for c in configs:
             if c not in move:
@@ -190,19 +159,19 @@ class Relations:
             i, k = c
             if isinstance(k, str):
                 if c in self.calls:
-                    wait((self.hat_to[c], self.keys.rule_key[k]), c, None)
+                    wait((self.succ[c], _key_of(rules[k])), c, None)
                 else:
-                    add(c, self.read_to[c])
+                    add(c, self.succ[c])
             elif k[0] == "eps":
                 add(c, i)
             elif k[0] == "alt":
-                for part in parts[k]:
-                    wait((i, part), c, None)
+                wait((i, _key_of(k[1])), c, None)
+                wait((i, _key_of(k[2])), c, None)
             elif k[0] == "cat":
-                wait((i, parts[k][0]), c, parts[k][1])
+                wait((i, _key_of(k[1])), c, _key_of(k[2]))
             else:
                 add(c, i)
-                wait((i, parts[k]), c, k)
+                wait((i, _key_of(k[1])), c, k)
 
         # A fresh configuration can go on forever when it survives the
         # repeated removal of those that hand on to nothing left: the
@@ -420,7 +389,6 @@ def _dfs_sreg(game, word, budget):
     rules = game.rules
     accepting = game.target.accepting
     dead = set(range(game.target.n_states)) - coaccessible_states(game.target)
-    keys = _KeyIndex(game)
     nodes = 0
 
     def simulate(decided):
@@ -432,7 +400,7 @@ def _dfs_sreg(game, word, budget):
             )
         reroutes = [p for p, call in decided.items() if call]
         strategy = strongly_regular_automaton(game, reroutes)
-        rel = Relations(game, strategy, keys)
+        rel = Relations(game, strategy)
         seen = []
         noted = set()
 
@@ -450,8 +418,8 @@ def _dfs_sreg(game, word, budget):
             for i in sorted(current):
                 note(i, a)
                 if (i, a) in rel.calls:
-                    h = rel.hat_to[(i, a)]
-                    for j, b in sorted(rel.next_from(h, keys.rule_key[a])):
+                    h = rel.succ[(i, a)]
+                    for j, b in sorted(rel.next_from(h, _key_of(rules[a]))):
                         note(j, b)
                 if (i, a) in rel.inf:
                     lost = True

@@ -187,8 +187,8 @@ class Dfa:
             }
             raise ValueError("unexpected transitions: %r" % sorted(extra))
 
-    def run(self, word, state=None):
-        q = self.initial if state is None else state
+    def run(self, word):
+        q = self.initial
         for a in word:
             q = self.transitions[(q, a)]
         return q
@@ -787,11 +787,11 @@ def nfa_from_dict(data):
 def parse_json(text, error):
     """The JSON value of text (str, or UTF-8 bytes); raises error with
     "invalid JSON: ..." when it does not parse."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error("invalid JSON: %s" % exc) from None
 
 

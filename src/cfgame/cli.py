@@ -99,8 +99,9 @@ def _write_text(path, text):
 
 
 def _read_file(path):
+    """The bytes of a file; the readers decode them as UTF-8."""
     try:
-        with open(path) as handle:
+        with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
         raise CliError("cannot read %s: %s" % (path, exc.strerror or exc))
@@ -452,7 +453,7 @@ def cmd_generate_3sat(args):
 def cmd_generate_universality(args):
     data = _read_file(args.nfa)
     try:
-        nfa = nfa_from_dict(json.loads(data))
+        nfa = nfa_from_dict(json.loads(data.decode("utf-8")))
     except ValueError as exc:
         raise CliError("bad NFA file %s: %s" % (args.nfa, exc))
     try:

@@ -43,19 +43,9 @@ def hat(symbol):
     return "^" + symbol
 
 
-def is_hatted(symbol):
-    return symbol.startswith("^")
-
-
-def unhat(symbol):
-    if not symbol.startswith("^"):
-        raise ValueError("%r is not a called symbol" % (symbol,))
-    return symbol[1:]
-
-
 def flatten_history(history):
     """Drop called symbols from a history word, keeping the read ones."""
-    return tuple(s for s in history if not is_hatted(s))
+    return tuple(s for s in history if not s.startswith("^"))
 
 
 def check_symbol(sym):
@@ -263,8 +253,8 @@ def load_game(text):
     return game_from_dict(parse_json(text, GameFormatError))
 
 
-def dump_game(game, indent=2):
-    return json.dumps(game_to_dict(game), indent=indent) + "\n"
+def dump_game(game):
+    return json.dumps(game_to_dict(game), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

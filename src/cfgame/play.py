@@ -261,8 +261,8 @@ def load_strategy(text):
     return strategy_from_dict(parse_json(text, StrategyFormatError))
 
 
-def dump_strategy(strategy, indent=2):
-    return json.dumps(strategy_to_dict(strategy), indent=indent) + "\n"
+def dump_strategy(strategy):
+    return json.dumps(strategy_to_dict(strategy), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +277,6 @@ def shortlex_romeo(game):
 
     def tau(history, symbol):
         return replies[symbol]
-
-    return tau
-
-
-def constant_romeo(table):
-    """Reply according to a fixed symbol -> word table."""
-    fixed = {a: tuple(w) for a, w in table.items()}
-
-    def tau(history, symbol):
-        try:
-            return fixed[symbol]
-        except KeyError:
-            raise PlayProtocolError("no reply configured for %r" % (symbol,)) from None
 
     return tau
 
@@ -310,40 +297,22 @@ def scripted_romeo(replies):
 # The play loop.
 
 
-def _call_decision(game, dfa, state, symbol):
-    if symbol not in game.rules:
-        return False
-    return dfa.transitions[(state, symbol)] in dfa.accepting
+def run_play(game, strategy, tau, word, step_limit=10000):
+    """Play a strategy against tau on a word and record what happened.
 
-
-def _callback_decision(sigma, history, symbol):
-    answer = sigma(tuple(history), symbol)
-    if isinstance(answer, str):
-        low = answer.lower()
-        if low in ("call", "read"):
-            return low == "call"
-    elif isinstance(answer, bool):
-        return answer
-    raise PlayProtocolError("strategy callback returned %r, expected Call or Read" % (answer,))
-
-
-def run_play(game, sigma, tau, word, step_limit=10000):
-    """Play sigma against tau on a word and record what happened.
-
-    sigma is a strategy object, a DFA over the history alphabet, or a
-    callback (history, symbol) -> "call"/"read".  tau is a callback
-    (history, symbol) -> replacement word.  The play stops after
-    step_limit moves with a Truncated outcome.
+    strategy is a strategy object or a DFA over the history alphabet.
+    tau is a callback (history, symbol) -> replacement word.  The play
+    stops after step_limit moves with a Truncated outcome.
     """
     if step_limit < 1:
         raise ValueError("step_limit must be at least 1")
-    dfa = None if callable(sigma) else strategy_automaton(game, sigma)
+    dfa = strategy_automaton(game, strategy)
     for a in word:
         if a not in game.alphabet:
             raise PlayProtocolError("input symbol %r is not in the alphabet" % (a,))
 
     history = []
-    state = dfa.initial if dfa is not None else None
+    state = dfa.initial
     remaining = deque((a, 0) for a in word)
     configurations = [((), tuple(word))]
     depth = 0
@@ -353,17 +322,8 @@ def run_play(game, sigma, tau, word, step_limit=10000):
         if steps >= step_limit:
             outcome = TRUNCATED
             break
-        symbol, d = remaining[0]
-        if dfa is not None:
-            calls = _call_decision(game, dfa, state, symbol)
-        else:
-            calls = _callback_decision(sigma, history, symbol)
-            if calls and symbol not in game.rules:
-                raise PlayProtocolError(
-                    "cannot call %r, it has no replacement rule" % (symbol,)
-                )
-        remaining.popleft()
-        if calls:
+        symbol, d = remaining.popleft()
+        if symbol in game.rules and dfa.transitions[(state, symbol)] in dfa.accepting:
             reply = tuple(tau(tuple(history), symbol))
             if not game.replacement_dfa(symbol).accepts(reply):
                 raise PlayProtocolError(
@@ -371,15 +331,13 @@ def run_play(game, sigma, tau, word, step_limit=10000):
                     % (reply, symbol)
                 )
             history.append(hat(symbol))
-            if dfa is not None:
-                state = dfa.transitions[(state, hat(symbol))]
+            state = dfa.transitions[(state, hat(symbol))]
             for c in reversed(reply):
                 remaining.appendleft((c, d + 1))
             depth = max(depth, d + 1)
         else:
             history.append(symbol)
-            if dfa is not None:
-                state = dfa.transitions[(state, symbol)]
+            state = dfa.transitions[(state, symbol)]
         steps += 1
         configurations.append((tuple(history), tuple(s for s, _ in remaining)))
     if outcome is None:

@@ -860,6 +860,32 @@ def test_malformed_input_exits_without_traceback(case, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["classify", "game.json"], "game.json"),
+        (["validate", "fixture:sandbox", "--strategy", "sigma.json"], "sigma.json"),
+        (["online-prune", "instance.json"], "instance.json"),
+        (["generate", "universality", "--nfa", "nfa.json", "--out", "uni"], "nfa.json"),
+    ],
+)
+def test_file_that_is_not_utf8_exits_2_without_traceback(argv, bad, tmp_path):
+    (tmp_path / bad).write_bytes(b'{"name": "\xff"}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfgame", "--json", *argv],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env=package_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["exit"] == 2
+    assert "can't decode byte 0xff" in report["error"]
+
+
+@pytest.mark.parametrize(
     "argv, unbuffered",
     [
         (["export", "fixture:g2c-undominated"], "1"),

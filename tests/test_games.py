@@ -27,12 +27,12 @@ from cfgame.games import (
     game_from_dict,
     game_to_dict,
     hat,
-    is_hatted,
     load_game,
     parse_word,
     to_prefix_free,
-    unhat,
 )
+from cfgame.online import OnlineFormatError, load_online_instance
+from cfgame.play import StrategyFormatError, load_strategy
 
 
 def sandbox_dict():
@@ -235,6 +235,19 @@ def test_bad_json_text():
         load_game("[1, 2]")
 
 
+@pytest.mark.parametrize(
+    "load, error",
+    [
+        (load_game, GameFormatError),
+        (load_strategy, StrategyFormatError),
+        (load_online_instance, OnlineFormatError),
+    ],
+)
+def test_bytes_that_are_not_utf8_raise_the_readers_error(load, error):
+    with pytest.raises(error, match="invalid JSON"):
+        load(b"\xff")
+
+
 def test_bad_symbols_rejected():
     plain = Dfa(1, ("a",), {(0, "a"): 0}, 0, {0})
     with pytest.raises(GameFormatError):
@@ -273,11 +286,7 @@ def test_format_word():
 
 def test_hat_helpers():
     assert hat("a") == "^a"
-    assert unhat("^a") == "a"
-    assert is_hatted("^a") and not is_hatted("a")
     assert flatten_history(("a", "^b", "c", "^a")) == ("a", "c")
-    with pytest.raises(ValueError):
-        unhat("a")
 
 
 # ---------------------------------------------------------------------------

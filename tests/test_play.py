@@ -2,6 +2,7 @@
 
 import pytest
 
+from cfgame.analysis import is_winning
 from cfgame.automata import Dfa, all_words_upto
 from cfgame.fixtures import fixture
 from cfgame.games import Game, flatten_history
@@ -14,7 +15,6 @@ from cfgame.play import (
     PlayProtocolError,
     StrategyFormatError,
     StronglyRegularStrategy,
-    constant_romeo,
     dump_strategy,
     load_strategy,
     read_all_strategy,
@@ -42,7 +42,7 @@ def test_sandbox_read_all_wins_ab():
 
 def test_sandbox_call_initial_wins_ac():
     fx = fixture("sandbox")
-    tau = constant_romeo({"a": ("b",)})
+    tau = lambda history, symbol: ("b",)
     play = run_play(fx.game, fx.strategies["call-initial-a"], tau, ("a", "c"))
     assert play.outcome == WIN_JULIET
     assert play.final_word == ("b", "c")
@@ -52,7 +52,7 @@ def test_sandbox_call_initial_wins_ac():
 
 def test_g1_always_call_truncates():
     fx = fixture("g1-recursive")
-    tau = constant_romeo({"a": ("a", "a")})
+    tau = lambda history, symbol: ("a", "a")
     play = run_play(fx.game, fx.strategies["always-call"], tau, ("a",), step_limit=50)
     assert play.outcome == TRUNCATED
     assert play.depth == 50
@@ -93,36 +93,9 @@ def test_nested_call_depth():
 
 def test_invalid_reply_rejected():
     fx = fixture("sandbox")
-    tau = constant_romeo({"a": ("c",)})
+    tau = lambda history, symbol: ("c",)
     with pytest.raises(PlayProtocolError, match="replacement language"):
         run_play(fx.game, fx.strategies["call-initial-a"], tau, ("a", "c"))
-
-
-def test_callback_strategy():
-    fx = fixture("sandbox")
-    tau = shortlex_romeo(fx.game)
-
-    def reader(history, symbol):
-        return "read"
-
-    for word in all_words_upto(fx.game.alphabet, 3):
-        via_callback = run_play(fx.game, reader, tau, word)
-        via_automaton = run_play(fx.game, fx.strategies["read-all"], tau, word)
-        assert via_callback.outcome == via_automaton.outcome
-        assert via_callback.configurations == via_automaton.configurations
-
-    call_a = lambda history, symbol: symbol == "a"
-    play = run_play(fx.game, call_a, constant_romeo({"a": ("b",)}), ("a", "b"))
-    assert play.final_history[0] == "^a"
-    greedy = lambda history, symbol: True
-    with pytest.raises(PlayProtocolError, match="no replacement rule"):
-        run_play(fx.game, greedy, tau, ("b",))
-
-    def confused(history, symbol):
-        return "maybe"
-
-    with pytest.raises(PlayProtocolError, match="expected Call or Read"):
-        run_play(fx.game, confused, tau, ("a",))
 
 
 def test_scripted_romeo_exhaustion():
@@ -140,6 +113,23 @@ def test_shortlex_romeo_picks_least_reply():
     play = run_play(fx.game, fx.strategies["forgetful-optimal"], tau, ("a",))
     assert play.final_word == ("b", "c", "c")
     assert play.outcome == WIN_JULIET
+
+
+def test_accepting_step_on_a_symbol_without_a_rule_reads_it():
+    # the automaton accepts after every symbol, but only a has a rule
+    fx = fixture("sandbox")
+    hist = fx.game.hist_alphabet
+    always = GeneralStrategy(Dfa(1, hist, {(0, a): 0 for a in hist}, 0, {0}))
+    tau = shortlex_romeo(fx.game)  # a has the single reply b
+    for word in all_words_upto(fx.game.alphabet, 3):
+        play = run_play(fx.game, always, tau, word)
+        assert play.final_history == sum(
+            (("^a", "b") if a == "a" else (a,) for a in word), ()
+        )
+        won = play.outcome == WIN_JULIET
+        assert won == is_winning(fx.game, always, word) == (
+            brute_force_outcome(fx.game, always, word) == WIN
+        )
 
 
 def test_empty_spec_behaves_like_read_all():
@@ -208,7 +198,8 @@ def test_brute_win_implies_play_win():
     for word in all_words_upto(fx.game.alphabet, 3):
         if brute_force_outcome(fx.game, sigma, word) == WIN:
             for table in tables:
-                play = run_play(fx.game, sigma, constant_romeo(table), word)
+                tau = lambda history, symbol: table[symbol]
+                play = run_play(fx.game, sigma, tau, word)
                 assert play.outcome == WIN_JULIET
 
 
