@@ -31,6 +31,20 @@ def random_nfa(rng, max_states=3):
     return Nfa(n, ("0", "1"), transitions, initials, accepting)
 
 
+def kth_from_last_nfa(k, universal):
+    """Words over 0/1 shorter than k, and those whose k-th symbol from the
+    end is 1 (or either bit, when universal: then every word)."""
+    chains = [range(1 + j * k, 1 + (j + 1) * k) for j in range(3 if universal else 2)]
+    transitions = {(0, "0"): {0}, (0, "1"): {0}}
+    for chain in chains:
+        for p in chain[:-1]:
+            transitions[(p, "0")] = transitions[(p, "1")] = {p + 1}
+    for bit, chain in zip("10", chains[1:]):
+        transitions[(0, bit)].add(chain[0])
+    accepting = set(chains[0]) | {chain[-1] for chain in chains[1:]}
+    return Nfa(1 + len(chains) * k, ("0", "1"), transitions, {0, 1}, accepting)
+
+
 def random_online_instance(rng, max_states=3):
     n = rng.randint(1, max_states)
     transitions = {}

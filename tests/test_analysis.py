@@ -41,6 +41,7 @@ from cfgame.play import (
     read_all_strategy,
     strongly_regular_automaton,
 )
+from conftest import kth_from_last_nfa
 from oracles import (
     WIN,
     EagerRelations,
@@ -454,24 +455,10 @@ def test_is_winning_stops_stepping_at_a_certain_loss(monkeypatch):
         is_winning(game, sigma, word + ("z",))
 
 
-def _kth_from_last_nfa(k, universal):
-    """Words over 0/1 shorter than k, and those whose k-th symbol from the
-    end is 1 (or either bit, when universal: then every word)."""
-    chains = [range(1 + j * k, 1 + (j + 1) * k) for j in range(3 if universal else 2)]
-    transitions = {(0, "0"): {0}, (0, "1"): {0}}
-    for chain in chains:
-        for p in chain[:-1]:
-            transitions[(p, "0")] = transitions[(p, "1")] = {p + 1}
-    for bit, chain in zip("10", chains[1:]):
-        transitions[(0, bit)].add(chain[0])
-    accepting = set(chains[0]) | {chain[-1] for chain in chains[1:]}
-    return Nfa(1 + len(chains) * k, ("0", "1"), transitions, {0, 1}, accepting)
-
-
 def test_a_repeated_word_is_not_stepped_again(monkeypatch):
     # plays on universality games never stop early, so the word is read
     # to its end; the second time every subset step is memoized
-    game, a1, _ = from_nfa_universality(_kth_from_last_nfa(4, False))
+    game, a1, _ = from_nfa_universality(kth_from_last_nfa(4, False))
     word = tuple(random.Random(4).choices("01", k=300))
     stepped = []
     step_set = Nfa.step_set
@@ -685,7 +672,7 @@ def test_is_dominated_matches_determinizing(data):
 @pytest.mark.parametrize("universal", [False, True])
 @pytest.mark.parametrize("k", range(2, 7))
 def test_is_dominated_matches_determinizing_on_universality_games(k, universal):
-    game, a1, a2 = from_nfa_universality(_kth_from_last_nfa(k, universal))
+    game, a1, a2 = from_nfa_universality(kth_from_last_nfa(k, universal))
     assert is_dominated(game, a1, a2) == _dominated_by_determinizing(game, a1, a2)
     assert is_dominated(game, a2, a1) == _dominated_by_determinizing(game, a2, a1)
     assert is_dominated(game, a1, a2)[0] == universal

@@ -15,10 +15,10 @@ import random
 import pytest
 
 from cfgame.analysis import exists_winning_sreg, losing_nfa
-from cfgame.automata import dfa_to_dict, is_prefix_free, nfa_to_dict, regex_to_nfa
+from cfgame.automata import Nfa, dfa_to_dict, is_prefix_free, nfa_to_dict, regex_to_nfa
 from cfgame.fixtures import fixture, fixture_names
 from cfgame.games import classify, dump_game, to_prefix_free
-from cfgame.generators import from_3sat, random_game
+from cfgame.generators import from_3sat, from_nfa_universality, random_game
 from cfgame.online import OnlineInstance, _pruned_transitions, prune_weakly_dominant
 from cfgame.play import dump_strategy, strongly_regular_automaton
 from cfgame.synthesis import (
@@ -28,6 +28,7 @@ from cfgame.synthesis import (
     effect_fixpoint,
     synthesize_weakly_dominant,
 )
+from conftest import kth_from_last_nfa
 from oracles import small_formulas
 
 RANDOM_PARAMS = {
@@ -500,3 +501,80 @@ def test_sreg_formula_reroutes_golden():
 
 def test_sreg_random_reroutes_golden():
     assert _sreg_digest(_sreg_random_instances()) == SREG_RANDOM_GOLDEN
+
+
+# The reductions' files: the universality game and both strategies of each
+# NFA, and every from_3sat game and word over the criterion-05 formulas.
+# The NFAs cover two initial states, an unreachable state and one that
+# rejects the empty word (the sandbox fallback).
+
+GENERATOR_NFAS = {
+    "kth:%d/%s" % (k, universal): kth_from_last_nfa(k, universal)
+    for k in range(1, 9)
+    for universal in (False, True)
+}
+GENERATOR_NFAS["two-initials"] = Nfa(
+    3,
+    ("0", "1"),
+    {(0, "0"): {1}, (1, "1"): {2}, (2, "0"): {0, 2}, (2, "1"): {1}},
+    {0, 2},
+    {0, 1},
+)
+GENERATOR_NFAS["unreachable"] = Nfa(
+    4,
+    ("0", "1"),
+    {(0, "0"): {0}, (0, "1"): {2}, (2, "0"): {0}, (1, "0"): {3}, (3, "1"): {0}},
+    {0},
+    {0, 3},
+)
+GENERATOR_NFAS["rejects-eps"] = Nfa(2, ("0", "1"), {(0, "0"): {1}, (1, "1"): {0}}, {0}, {1})
+
+
+def _generator_texts(case):
+    if case == "3sat":
+        for phi in small_formulas(1) + small_formulas(2):
+            game, word = from_3sat(phi)
+            yield dump_game(game)
+            yield json.dumps(word)
+        return
+    game, a1, a2 = from_nfa_universality(GENERATOR_NFAS[case])
+    yield dump_game(game)
+    yield dump_strategy(a1)
+    yield dump_strategy(a2)
+
+
+def generator_digest(case):
+    digest = hashlib.sha256()
+    for text in _generator_texts(case):
+        digest.update(text.encode("utf-8") + b"\0")
+    return digest.hexdigest()[:16]
+
+
+# recorded before _normalize_nfa merged initial states into a fresh int state
+GENERATOR_GOLDEN = {
+    "kth:1/False": "265960bc9a3d678c",
+    "kth:1/True": "e543671cb045cd6d",
+    "kth:2/False": "18dc3a99d4c36e0e",
+    "kth:2/True": "b3298967e107a576",
+    "kth:3/False": "f10758dfe87e68ba",
+    "kth:3/True": "30b2887fa658983d",
+    "kth:4/False": "c8c9f55ab7a4af5c",
+    "kth:4/True": "8d595105fa6fd715",
+    "kth:5/False": "f05307f27d133c4d",
+    "kth:5/True": "ef6e268a8875c23e",
+    "kth:6/False": "c54238484b9a5128",
+    "kth:6/True": "ff99e81cca8c6d5e",
+    "kth:7/False": "1d3a5aa604210009",
+    "kth:7/True": "4b86fb7f6ce11246",
+    "kth:8/False": "7bff949d1bab72cf",
+    "kth:8/True": "05ef827ca0a09e5f",
+    "two-initials": "048a9924ac186140",
+    "unreachable": "a7fbeff7840796ea",
+    "rejects-eps": "4122fb7f1330cf51",
+    "3sat": "12f5c1137a69ba6e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_NFAS) + ["3sat"])
+def test_generator_digest_golden(case):
+    assert generator_digest(case) == GENERATOR_GOLDEN[case]
