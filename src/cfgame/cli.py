@@ -23,7 +23,7 @@ from .analysis import (
     losing_nfa,
     winning_set_dfa,
 )
-from .automata import dfa_to_dict, enumerate_upto, nfa_from_dict, nfa_to_dict, to_dot
+from .automata import dfa_to_dict, enumerate_upto, nfa_from_dict, nfa_to_dict, parse_json, to_dot
 from .fixtures import fixture, fixture_names
 from .games import (
     GameFormatError,
@@ -62,9 +62,7 @@ SCOPE = 3
 
 
 class CliError(Exception):
-    def __init__(self, message, code=USAGE):
-        Exception.__init__(self, message)
-        self.code = code
+    """Bad usage or input; exits USAGE."""
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +449,8 @@ def cmd_generate_3sat(args):
 
 
 def cmd_generate_universality(args):
-    data = _read_file(args.nfa)
     try:
-        nfa = nfa_from_dict(json.loads(data.decode("utf-8")))
+        nfa = nfa_from_dict(parse_json(_read_file(args.nfa), ValueError))
     except ValueError as exc:
         raise CliError("bad NFA file %s: %s" % (args.nfa, exc))
     try:
@@ -712,14 +709,11 @@ def build_parser():
 def _run(args):
     try:
         return args.func(args)
-    except CliError as exc:
-        _emit_error(args, str(exc), exc.code)
-        return exc.code
     except (BudgetExceeded, SynthesisError) as exc:
         _emit_error(args, str(exc), SCOPE)
         return SCOPE
     except (
-        GameFormatError, StrategyFormatError, OnlineFormatError, PlayProtocolError
+        CliError, GameFormatError, StrategyFormatError, OnlineFormatError, PlayProtocolError
     ) as exc:
         _emit_error(args, str(exc), USAGE)
         return USAGE

@@ -6,21 +6,14 @@ The expected dict maps fact names to plain values; notes explain the
 behaviour in words.
 """
 
+from collections import namedtuple
+
 from .automata import Dfa, all_words_upto
 from .games import Game
 from .play import ForgetfulStrategy, GeneralStrategy, read_all_strategy
 
 
-class Fixture:
-    def __init__(self, name, game, strategies, expected, notes):
-        self.name = name
-        self.game = game
-        self.strategies = strategies
-        self.expected = expected
-        self.notes = notes
-
-    def __repr__(self):
-        return "Fixture(%r)" % self.name
+Fixture = namedtuple("Fixture", ["name", "game", "strategies", "expected", "notes"])
 
 
 def _sandbox():

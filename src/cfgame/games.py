@@ -8,6 +8,7 @@ validation, serialization, classification and the prefix-free transform.
 """
 
 import json
+from collections import namedtuple
 
 from .automata import (
     Dfa,
@@ -261,25 +262,16 @@ def dump_game(game):
 # Classification.
 
 
-class GameClassReport:
-    def __init__(self, prefix_free, non_recursive, unary, finite_target, function_symbols):
-        self.prefix_free = prefix_free
-        self.non_recursive = non_recursive
-        self.unary = unary
-        self.finite_target = finite_target
-        self.function_symbols = tuple(function_symbols)
+class GameClassReport(
+    namedtuple(
+        "GameClassReport",
+        ["prefix_free", "non_recursive", "unary", "finite_target", "function_symbols"],
+    )
+):
+    __slots__ = ()
 
     def as_dict(self):
-        return {
-            "prefix_free": self.prefix_free,
-            "non_recursive": self.non_recursive,
-            "unary": self.unary,
-            "finite_target": self.finite_target,
-            "function_symbols": list(self.function_symbols),
-        }
-
-    def __repr__(self):
-        return "GameClassReport(%r)" % (self.as_dict(),)
+        return dict(self._asdict(), function_symbols=list(self.function_symbols))
 
 
 def classify(game):

@@ -12,6 +12,7 @@ instances with requested class flags.
 """
 
 import random
+from collections import namedtuple
 
 from .automata import Dfa, Nfa
 from .fixtures import fixture
@@ -38,16 +39,18 @@ def _alt_ast(nodes):
 # 3SAT.
 
 
-class CnfFormula:
+class CnfFormula(namedtuple("CnfFormula", ["n_vars", "clauses"])):
     """A 3CNF formula over variables x1..xn.
 
     Clauses are triples of nonzero signed indices: literal 2 stands for
     x2, literal -2 for its negation.
     """
 
-    def __init__(self, n_vars, clauses):
-        self.n_vars = int(n_vars)
-        if self.n_vars < 1:
+    __slots__ = ()
+
+    def __new__(cls, n_vars, clauses):
+        n_vars = int(n_vars)
+        if n_vars < 1:
             raise ValueError("formula needs at least one variable")
         cleaned = []
         for clause in clauses:
@@ -57,12 +60,12 @@ class CnfFormula:
                     "clause %r must have exactly three literals" % (clause,)
                 )
             for lit in lits:
-                if lit == 0 or abs(lit) > self.n_vars:
+                if lit == 0 or abs(lit) > n_vars:
                     raise ValueError("literal %d out of range" % lit)
             cleaned.append(lits)
         if not cleaned:
             raise ValueError("formula needs at least one clause")
-        self.clauses = tuple(cleaned)
+        return super().__new__(cls, n_vars, tuple(cleaned))
 
     @classmethod
     def parse(cls, text, n_vars=None):
@@ -82,19 +85,6 @@ class CnfFormula:
         if n_vars is None:
             n_vars = max(abs(lit) for clause in clauses for lit in clause)
         return cls(n_vars, clauses)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CnfFormula)
-            and other.n_vars == self.n_vars
-            and other.clauses == self.clauses
-        )
-
-    def __hash__(self):
-        return hash((self.n_vars, self.clauses))
-
-    def __repr__(self):
-        return "CnfFormula(%d, %r)" % (self.n_vars, list(self.clauses))
 
 
 def from_3sat(phi):
@@ -218,48 +208,30 @@ def assignment_strategy(phi, assignment):
 def _normalize_nfa(nfa):
     """Single accessible initial state, states renumbered in BFS order.
 
-    Several initial states are merged into a fresh one carrying the
-    union of their outgoing transitions; unreachable states are dropped.
-    Returns (k, transitions, accepting) over states 0..k-1 with 0
-    initial, where transitions maps (p, a) to a sorted tuple.
+    Several initial states are merged into a fresh one, nfa.n_states,
+    carrying the union of their outgoing transitions; unreachable states
+    are dropped.  Returns (k, transitions, accepting) over states 0..k-1
+    with 0 initial, where transitions maps (p, a) to a sorted tuple.
     """
-    merged = object()
-    if len(nfa.initials) == 1:
-        (start,) = nfa.initials
-    else:
-        start = merged
-
-    def step(p, a):
-        if p is merged:
-            out = set()
-            for q in nfa.initials:
-                out |= nfa.transitions.get((q, a), frozenset())
-            return out
-        return nfa.transitions.get((p, a), frozenset())
-
-    def accepts(p):
-        if p is merged:
-            return bool(nfa.initials & nfa.accepting)
-        return p in nfa.accepting
-
-    order = [start]
-    index = {start: 0}
-    pos = 0
-    while pos < len(order):
-        p = order[pos]
-        pos += 1
+    merged = nfa.n_states
+    order = [next(iter(nfa.initials)) if len(nfa.initials) == 1 else merged]
+    index = {order[0]: 0}
+    transitions = {}
+    for i, p in enumerate(order):  # grows while walked: a BFS queue
         for a in ("0", "1"):
-            for q in sorted(step(p, a)):
+            succ = sorted(
+                nfa.step_set(nfa.initials, a) if p == merged
+                else nfa.transitions.get((p, a), ())
+            )
+            for q in succ:
                 if q not in index:
                     index[q] = len(order)
                     order.append(q)
-    transitions = {}
-    for p in order:
-        for a in ("0", "1"):
-            transitions[(index[p], a)] = tuple(
-                sorted(index[q] for q in step(p, a))
-            )
-    accepting = frozenset(index[p] for p in order if accepts(p))
+            transitions[(i, a)] = tuple(sorted(index[q] for q in succ))
+    accepting = frozenset(
+        i for i, p in enumerate(order)
+        if p in nfa.accepting or p == merged and nfa.initials & nfa.accepting
+    )
     return len(order), transitions, accepting
 
 

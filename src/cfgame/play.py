@@ -10,14 +10,15 @@ won by nobody.
 Juliet's strategies are finite automata over the history alphabet: the
 plain symbols plus "^a" for every called function symbol.  A strategy
 calls symbol a at history state p exactly when stepping p on a leads to
-an accepting state.  Forgetful strategies only look at the read symbols
-and are given as automata over the plain alphabet; strongly regular
-strategies modify the target automaton itself by rerouting some of its
-transitions to a fresh Call state.
+an accepting state.  The classes nest: strongly regular, then forgetful,
+then regular (GeneralStrategy).  Forgetful strategies only look at the
+read symbols; ForgetfulStrategy is a GeneralStrategy whose automaton runs
+over the plain alphabet.  Strongly regular strategies reroute some of the
+target automaton's transitions to a fresh Call state, a forgetful automaton.
 """
 
 import json
-from collections import deque
+from collections import deque, namedtuple
 
 from .automata import (
     Dfa,
@@ -43,7 +44,7 @@ WIN_ROMEO = "WinRomeo"
 TRUNCATED = "Truncated"
 
 
-class Play:
+class Play(namedtuple("Play", ["configurations", "outcome", "depth"])):
     """A finished (or truncated) play record.
 
     configurations holds (history, remaining) pairs, one per position,
@@ -51,10 +52,7 @@ class Play:
     nesting that occurred.
     """
 
-    def __init__(self, configurations, outcome, depth):
-        self.configurations = configurations
-        self.outcome = outcome
-        self.depth = depth
+    __slots__ = ()
 
     @property
     def final_history(self):
@@ -63,13 +61,6 @@ class Play:
     @property
     def final_word(self):
         return flatten_history(self.final_history)
-
-    def __repr__(self):
-        return "Play(%s, %d moves, depth %d)" % (
-            self.outcome,
-            len(self.configurations) - 1,
-            self.depth,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -84,21 +75,19 @@ class GeneralStrategy:
     def __init__(self, dfa):
         self.dfa = dfa
 
-    def automaton(self, game):
-        if set(self.dfa.alphabet) != set(game.hist_alphabet):
+    def _check_alphabet(self, alphabet, name):
+        if set(self.dfa.alphabet) != set(alphabet):
             raise StrategyFormatError(
-                "strategy alphabet %r does not match the history alphabet %r"
-                % (list(self.dfa.alphabet), list(game.hist_alphabet))
+                "strategy alphabet %r does not match the %s alphabet %r"
+                % (list(self.dfa.alphabet), name, list(alphabet))
             )
-        if self.dfa.alphabet == game.hist_alphabet:
-            return self.dfa
-        return Dfa(
-            self.dfa.n_states,
-            game.hist_alphabet,
-            self.dfa.transitions,
-            self.dfa.initial,
-            self.dfa.accepting,
-        )
+
+    def automaton(self, game):
+        self._check_alphabet(game.hist_alphabet, "history")
+        d = self.dfa
+        if d.alphabet == game.hist_alphabet:
+            return d
+        return Dfa(d.n_states, game.hist_alphabet, d.transitions, d.initial, d.accepting)
 
     def __eq__(self, other):
         return (
@@ -118,7 +107,7 @@ def _forgetful_automaton(game, n_states, transitions, initial, accepting):
     return Dfa(n_states, game.hist_alphabet, transitions, initial, accepting)
 
 
-class ForgetfulStrategy:
+class ForgetfulStrategy(GeneralStrategy):
     """A strategy that only sees the read symbols of the history.
 
     The automaton runs over the plain alphabet; called symbols leave its
@@ -127,24 +116,10 @@ class ForgetfulStrategy:
 
     kind = "forgetful"
 
-    def __init__(self, dfa):
-        self.dfa = dfa
-
     def automaton(self, game):
-        if set(self.dfa.alphabet) != set(game.alphabet):
-            raise StrategyFormatError(
-                "strategy alphabet %r does not match the game alphabet %r"
-                % (list(self.dfa.alphabet), list(game.alphabet))
-            )
+        self._check_alphabet(game.alphabet, "game")
         d = self.dfa
         return _forgetful_automaton(game, d.n_states, d.transitions, d.initial, d.accepting)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ForgetfulStrategy)
-            and other.kind == self.kind
-            and other.dfa == self.dfa
-        )
 
 
 class StronglyRegularStrategy:
@@ -253,7 +228,7 @@ def strategy_from_dict(data):
             dfa = dfa_from_dict(data["automaton"])
         except ValueError as exc:
             raise StrategyFormatError("bad strategy automaton: %s" % exc) from None
-        return GeneralStrategy(dfa) if kind == "general" else ForgetfulStrategy(dfa)
+        return (GeneralStrategy if kind == "general" else ForgetfulStrategy)(dfa)
     raise StrategyFormatError("unknown strategy kind %r" % (kind,))
 
 

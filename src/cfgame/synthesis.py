@@ -386,18 +386,9 @@ class _AutomatonBuilder:
         )
 
 
-class InducingAutomaton:
-    """Strategy automaton realizing one effect triple.
-
-    partitions maps each landing target state to the automaton states
-    that mark a completed reply ending there.
-    """
-
-    def __init__(self, strategy, partitions, triple, labels):
-        self.strategy = strategy
-        self.partitions = partitions
-        self.triple = triple
-        self.labels = labels
+# Strategy automaton realizing one effect triple; partitions maps each landing
+# target state to the automaton states that mark a completed reply ending there.
+InducingAutomaton = namedtuple("InducingAutomaton", ["strategy", "partitions", "triple", "labels"])
 
 
 def build_inducing_automaton(game, triple, effects):

@@ -885,6 +885,25 @@ def test_file_that_is_not_utf8_exits_2_without_traceback(argv, bad, tmp_path):
     assert "can't decode byte 0xff" in report["error"]
 
 
+@pytest.mark.parametrize("data", [b"{nope", b'{"name": "\xff"}'])
+def test_universality_nfa_file_that_is_not_json_exits_2(data, tmp_path):
+    # the NFA reader reports bad JSON and bad UTF-8 as the other readers do
+    (tmp_path / "nfa.json").write_bytes(data)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfgame", "--json", "generate", "universality", "--nfa", "nfa.json"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env=package_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["exit"] == 2
+    assert report["error"].startswith("bad NFA file nfa.json: invalid JSON: ")
+
+
 @pytest.mark.parametrize(
     "argv, unbuffered",
     [

@@ -130,6 +130,14 @@ def test_classify_g1():
     assert not report.finite_target
     assert report.prefix_free
     assert report.function_symbols == ("a",)
+    # the report's fields in order, with function_symbols as a list
+    assert list(report.as_dict().items()) == [
+        ("prefix_free", True),
+        ("non_recursive", False),
+        ("unary", True),
+        ("finite_target", False),
+        ("function_symbols", ["a"]),
+    ]
 
 
 def test_classify_non_recursive_finite():

@@ -46,6 +46,9 @@ def test_cnf_parse():
     assert phi.n_vars == 1
     assert phi.clauses == ((1, 1, 1), (-1, -1, -1))
     assert CnfFormula.parse("1,2,-3").n_vars == 3
+    assert CnfFormula.parse("1,2,-3") == CnfFormula(3, [("1", 2, -3)])
+    assert hash(CnfFormula.parse("1,2,-3")) == hash(CnfFormula(3, [("1", 2, -3)]))
+    assert hash(phi) == hash((1, ((1, 1, 1), (-1, -1, -1))))
     assert CnfFormula.parse("1,1,1", n_vars=4).n_vars == 4
     with pytest.raises(ValueError):
         CnfFormula.parse("")

@@ -38,6 +38,8 @@ def test_sandbox_read_all_wins_ab():
     assert play.depth == 0
     assert play.configurations[0] == ((), ("a", "b"))
     assert len(play.configurations) == 3
+    configurations, outcome, depth = play
+    assert (configurations, outcome, depth) == (play.configurations, WIN_JULIET, 0)
 
 
 def test_sandbox_call_initial_wins_ac():
@@ -250,10 +252,18 @@ def test_forgetful_lift_ignores_called_symbols():
 def test_strategy_alphabet_mismatch():
     fx = fixture("sandbox")
     wrong = Dfa(1, ("a", "b"), {(0, "a"): 0, (0, "b"): 0}, 0, set())
-    with pytest.raises(StrategyFormatError):
+    with pytest.raises(StrategyFormatError, match="does not match the history alphabet"):
         GeneralStrategy(wrong).automaton(fx.game)
-    with pytest.raises(StrategyFormatError):
+    with pytest.raises(StrategyFormatError, match="does not match the game alphabet"):
         ForgetfulStrategy(wrong).automaton(fx.game)
+
+
+def test_forgetful_strategy_is_a_general_strategy_of_another_kind():
+    dfa = fixture("sandbox").strategies["read-all"].dfa
+    assert isinstance(ForgetfulStrategy(dfa), GeneralStrategy)
+    assert ForgetfulStrategy(dfa) == ForgetfulStrategy(dfa)
+    assert ForgetfulStrategy(dfa) != GeneralStrategy(dfa)
+    assert GeneralStrategy(dfa) != ForgetfulStrategy(dfa)
 
 
 def test_run_play_input_checks():

@@ -16,6 +16,7 @@ from cfgame.fixtures import fixture
 from cfgame.games import Game, hat, to_prefix_free
 from cfgame.generators import random_game
 from cfgame.online import OnlineInstance, _pruned_transitions
+from cfgame.play import ForgetfulStrategy, GeneralStrategy
 from cfgame.synthesis import (
     EffectSet,
     EffectTriple,
@@ -102,6 +103,8 @@ def test_nested_call_effects_are_admitted():
     # not trivial: reading a does not land there
     assert game.target.transitions[key] != landed
     strat = synthesize_weakly_dominant(game)
+    assert strat == GeneralStrategy(strat.dfa) and GeneralStrategy(strat.dfa) == strat
+    assert strat != ForgetfulStrategy(strat.dfa)
     assert is_winning(game, strat, ("a",))
     assert brute_force_outcome(game, strat, ("a",)) == WIN
     won = winning_set_upto(game, strat, 3)
