@@ -15,7 +15,14 @@ import random
 import pytest
 
 from cfgame.analysis import exists_winning_sreg, losing_nfa
-from cfgame.automata import Nfa, dfa_to_dict, is_prefix_free, nfa_to_dict, regex_to_nfa
+from cfgame.automata import (
+    Nfa,
+    determinize,
+    dfa_to_dict,
+    is_prefix_free,
+    nfa_to_dict,
+    regex_to_nfa,
+)
 from cfgame.fixtures import fixture, fixture_names
 from cfgame.games import classify, dump_game, to_prefix_free
 from cfgame.generators import from_3sat, from_nfa_universality, random_game
@@ -578,3 +585,46 @@ GENERATOR_GOLDEN = {
 @pytest.mark.parametrize("case", sorted(GENERATOR_NFAS) + ["3sat"])
 def test_generator_digest_golden(case):
     assert generator_digest(case) == GENERATOR_GOLDEN[case]
+
+
+# The subset construction of both losing NFAs of the universality games,
+# whose wide alphabets hold many symbols that act alike: the DFA's
+# numbering and accepting states, hashed per game and variant.
+
+DETERMINIZE_CASES = ["kth:%d/%s" % (k, u) for k in range(2, 10) for u in (False, True)]
+
+
+def determinize_digest(case):
+    k, universal = case[4:].split("/")
+    game, a1, a2 = from_nfa_universality(kth_from_last_nfa(int(k), universal == "True"))
+    digest = hashlib.sha256()
+    for strategy in (a1, a2):
+        text = json.dumps(dfa_to_dict(determinize(losing_nfa(game, strategy))))
+        digest.update(text.encode("utf-8") + b"\0")
+    return digest.hexdigest()[:16]
+
+
+# recorded before determinize stepped one symbol per class
+DETERMINIZE_GOLDEN = {
+    "kth:2/False": "ad16826f15035201",
+    "kth:2/True": "4430521486b802e1",
+    "kth:3/False": "4165df020ce21f6e",
+    "kth:3/True": "fe2ee2c7b38000a5",
+    "kth:4/False": "ca3d1a48df8f36f0",
+    "kth:4/True": "69ee19255433b3ce",
+    "kth:5/False": "f383378621e4e9df",
+    "kth:5/True": "165fbac59db520ad",
+    "kth:6/False": "bc2a8df6ac701637",
+    "kth:6/True": "fa6331c98f4f8747",
+    "kth:7/False": "202c48347dc16c49",
+    "kth:7/True": "ea9cdbe320abae20",
+    "kth:8/False": "918ede25d872e2bc",
+    "kth:8/True": "394ec13b41d96c08",
+    "kth:9/False": "9028043b29c75b6e",
+    "kth:9/True": "048bc72b5bee6185",
+}
+
+
+@pytest.mark.parametrize("case", DETERMINIZE_CASES)
+def test_determinize_digest_golden(case):
+    assert determinize_digest(case) == DETERMINIZE_GOLDEN[case]
