@@ -23,6 +23,7 @@ from .automata import (
     enumerate_upto,
     minimize,
     shortlex_path,
+    symbol_classes,
 )
 from .games import hat
 from .play import strategy_automaton, strongly_regular_automaton
@@ -311,11 +312,13 @@ def is_dominated(game, first, second):
 
     Returns (answer, witness).  The witness is the shortlex least word
     won by the first strategy but not the second, None when dominated.
-    It is searched for on fresh SubsetViews, so the cached ones stay small.
+    It is searched on fresh SubsetViews, so the cached ones stay small,
+    stepping one symbol per class of both NFAs: the rest reach its pairs later.
     """
-    v1, v2 = (SubsetView(losing_nfa(game, s)) for s in (first, second))
+    n1, n2 = (losing_nfa(game, s) for s in (first, second))
+    v1, v2, classes = SubsetView(n1), SubsetView(n2), symbol_classes(game.alphabet, n1, n2)
     witness = shortlex_path(
-        (0, 0), lambda p, a: (v1.step(p[0], a), v2.step(p[1], a)), game.alphabet,
+        (0, 0), lambda p, a: (v1.step(p[0], a), v2.step(p[1], a)), [c[0] for c in classes],
         lambda p: v2.accepts(p[1]) and not v1.accepts(p[0]),
     )
     return witness is None, witness

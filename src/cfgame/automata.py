@@ -4,10 +4,11 @@ Symbols are strings, words are tuples of symbols.  A word like ("a", "b")
 prints as "ab" when every symbol is a single character.  All DFAs here are
 total: every (state, symbol) pair has a transition, with an explicit dead
 state where needed.  Lazy walks over the subsets of states that an NFA's
-words reach all read a SubsetView; determinize keeps its own exhaustive loop.
+words reach all read a SubsetView; determinize keeps its own loop.  It and
+is_dominated step one symbol per class (symbol_classes): the rest follow it.
 """
 
-from collections import deque
+from collections import defaultdict, deque
 import itertools
 import json
 
@@ -325,22 +326,30 @@ class SubsetView:
         return not self.nfa.accepting.isdisjoint(self.subsets[i])
 
 
+def symbol_classes(alphabet, *nfas):
+    """Lists of the symbols with equal columns in every nfa, in alphabet order."""
+    columns = defaultdict(list)  # symbol -> (nfa, state, targets) triples
+    for i, nfa in enumerate(nfas):
+        for (q, a), targets in nfa.transitions.items():
+            columns[a].append((i, q, targets))
+    classes = {}
+    for a in alphabet:
+        classes.setdefault(frozenset(columns[a]), []).append(a)
+    return list(classes.values())
+
+
 def determinize(nfa):
     """Subset construction, numbering subsets breadth first from the initial
-    one.  The result is total; the empty subset is a dead state if reached."""
-    subsets = [nfa.initials]
-    index = {nfa.initials: 0}
-    transitions = {}
-    for i, subset in enumerate(subsets):  # grows while walked: a BFS queue
-        for a in nfa.alphabet:
-            nxt = nfa.step_set(subset, a)
-            j = index.get(nxt)
-            if j is None:
-                j = index[nxt] = len(subsets)
-                subsets.append(nxt)
-            transitions[(i, a)] = j
-    accepting = {i for i, subset in enumerate(subsets) if subset & nfa.accepting}
-    return Dfa(len(subsets), nfa.alphabet, transitions, 0, accepting)
+    one.  The result is total; the empty subset is a dead state if reached.
+    One symbol per class is stepped; the rest reach the same subset, later."""
+    classes, view, transitions = symbol_classes(nfa.alphabet, nfa), SubsetView(nfa), {}
+    for i, subset in enumerate(view.subsets):  # grows while walked: a BFS queue
+        for members in classes:
+            j = view.number(nfa.step_set(subset, members[0]))
+            for a in members:
+                transitions[(i, a)] = j
+    accepting = {i for i, subset in enumerate(view.subsets) if subset & nfa.accepting}
+    return Dfa(len(view.subsets), nfa.alphabet, transitions, 0, accepting)
 
 
 def _moore_blocks(states, alphabet, transitions, accepting):

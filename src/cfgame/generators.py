@@ -244,9 +244,9 @@ def from_nfa_universality(nfa):
     leave {0,1}*.  Hence the first is dominated by the second if and
     only if the automaton accepts every word over {0,1}.
 
-    The input is normalized first (initial states merged, unreachable
-    states dropped).  An automaton rejecting the empty word cannot be
-    universal, and is mapped to a fixed non-dominated instance: the
+    A state outside range(nfa.n_states) raises ValueError.  The input is
+    normalized (initial states merged, unreachable states dropped).  One
+    rejecting the empty word is not universal: it maps to the non-dominated
     sandbox game with its read-all and call-initial-a strategies.
     """
     if set(nfa.alphabet) != {"0", "1"}:
@@ -254,6 +254,9 @@ def from_nfa_universality(nfa):
             "universality reduction needs an NFA over 0 and 1, got alphabet %r"
             % (list(nfa.alphabet),)
         )
+    states = nfa.initials.union(nfa.accepting, *nfa.transitions.values())
+    for q in states.union(q for q, _ in nfa.transitions) - set(range(nfa.n_states)):
+        raise ValueError("NFA state %r is not in range(%d)" % (q, nfa.n_states))
     k, delta, accepting = _normalize_nfa(nfa)
     if 0 not in accepting:
         fx = fixture("sandbox")

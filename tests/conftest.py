@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from cfgame.automata import Dfa, Nfa
 from cfgame.generators import random_game
@@ -43,6 +44,25 @@ def kth_from_last_nfa(k, universal):
         transitions[(0, bit)].add(chain[0])
     accepting = set(chains[0]) | {chain[-1] for chain in chains[1:]}
     return Nfa(1 + len(chains) * k, ("0", "1"), transitions, {0, 1}, accepting)
+
+
+FIVE_SYMBOLS = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def templated_nfas(draw, max_states=4):
+    """NFAs over FIVE_SYMBOLS whose columns are copies of 2 or 3 drawn
+    templates, so that classes of symbols that act alike have members."""
+    n = draw(st.integers(1, max_states))
+    column = st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n)
+    templates = draw(st.lists(column, min_size=2, max_size=3))
+    transitions = {}
+    for a in FIVE_SYMBOLS:
+        template = draw(st.sampled_from(templates))
+        transitions.update({(q, a): template[q] for q in range(n)})
+    initials = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    accepting = draw(st.sets(st.integers(0, n - 1)))
+    return Nfa(n, FIVE_SYMBOLS, transitions, initials, accepting)
 
 
 def random_online_instance(rng, max_states=3):

@@ -1,7 +1,9 @@
 """Checks of the relation saturation and the decision procedures on top."""
 
+from collections import deque
 import gc
 import random
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -21,6 +23,7 @@ from cfgame.analysis import (
 from cfgame.automata import (
     Dfa,
     Nfa,
+    SubsetView,
     compare_shortlex,
     determinize,
     enumerate_upto,
@@ -41,7 +44,7 @@ from cfgame.play import (
     read_all_strategy,
     strongly_regular_automaton,
 )
-from conftest import kth_from_last_nfa
+from conftest import FIVE_SYMBOLS, kth_from_last_nfa, templated_nfas
 from oracles import (
     WIN,
     EagerRelations,
@@ -676,3 +679,57 @@ def test_is_dominated_matches_determinizing_on_universality_games(k, universal):
     assert is_dominated(game, a1, a2) == _dominated_by_determinizing(game, a1, a2)
     assert is_dominated(game, a2, a1) == _dominated_by_determinizing(game, a2, a1)
     assert is_dominated(game, a1, a2)[0] == universal
+
+
+def _full_alphabet_pair_search(n1, n2, alphabet):
+    # the reference: a shortlex pair search that steps every symbol of the
+    # alphabet on two fresh views
+    v1, v2 = SubsetView(n1), SubsetView(n2)
+    parent = {(0, 0): None}
+    queue = deque([(0, 0)])
+    while queue:
+        node = queue.popleft()
+        if v2.accepts(node[1]) and not v1.accepts(node[0]):
+            word = []
+            while parent[node] is not None:
+                node, a = parent[node]
+                word.append(a)
+            return False, tuple(reversed(word))
+        for a in alphabet:
+            nxt = (v1.step(node[0], a), v2.step(node[1], a))
+            if nxt not in parent:
+                parent[nxt] = (node, a)
+                queue.append(nxt)
+    return True, None
+
+
+@settings(max_examples=200)
+@given(templated_nfas(), templated_nfas())
+def test_is_dominated_steps_classes_as_a_full_alphabet_search(n1, n2):
+    # the drawn NFAs stand in for the two losing NFAs
+    game = SimpleNamespace(alphabet=FIVE_SYMBOLS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "losing_nfa", lambda game, nfa: nfa)
+        for first, second in ((n1, n2), (n2, n1)):
+            want = _full_alphabet_pair_search(first, second, FIVE_SYMBOLS)
+            assert is_dominated(game, first, second) == want
+
+
+def test_is_dominated_steps_only_class_representatives(monkeypatch):
+    game, a1, a2 = from_nfa_universality(kth_from_last_nfa(6, True))
+    nfas = [losing_nfa(game, s) for s in (a1, a2)]
+    firsts = {}  # both NFAs' columns -> the first symbol that has them
+    for a in game.alphabet:
+        columns = tuple(
+            frozenset((q, t) for (q, b), t in nfa.transitions.items() if b == a)
+            for nfa in nfas
+        )
+        firsts.setdefault(columns, a)
+    assert len(firsts) < len(game.alphabet)
+    stepped = set()
+    step_set = Nfa.step_set
+    monkeypatch.setattr(
+        Nfa, "step_set", lambda nfa, states, a: stepped.add(a) or step_set(nfa, states, a)
+    )
+    assert is_dominated(game, a1, a2) == (True, None)
+    assert stepped and stepped <= set(firsts.values())

@@ -1,4 +1,5 @@
 from collections import deque
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from cfgame.automata import (
     complement,
     determinize,
     dfa_from_dict,
+    dfa_to_dict,
     enumerate_upto,
     equivalent,
     is_prefix_free,
@@ -27,8 +29,10 @@ from cfgame.automata import (
     residual_order,
     shortlex_min_word,
     subset_witness,
+    symbol_classes,
     to_dot,
 )
+from conftest import FIVE_SYMBOLS, templated_nfas
 from oracles import (
     ast_language,
     brute_language,
@@ -144,17 +148,36 @@ def test_glushkov_matches_ast_semantics(ast):
     assert brute_language(nfa.accepts, ALPHABET, 5) == expected
 
 
-@given(nfas())
+# templated NFAs have classes of several symbols, which determinize steps once
+@settings(max_examples=200)
+@given(st.one_of(nfas(), templated_nfas()))
 def test_subset_view_exhausted_breadth_first_is_determinize(nfa):
     view = SubsetView(nfa)
     transitions = {}
     for i, subset in enumerate(view.subsets):  # grows while walked
         assert view.index[subset] == i
-        for a in ALPHABET:
+        for a in nfa.alphabet:
             transitions[(i, a)] = view.step(i, a)
-    dfa = determinize(nfa)
-    assert transitions == dfa.transitions
-    assert {i for i in range(len(view.subsets)) if view.accepts(i)} == dfa.accepting
+    accepting = {i for i in range(len(view.subsets)) if view.accepts(i)}
+    walked = Dfa(len(view.subsets), nfa.alphabet, transitions, 0, accepting)
+    assert json.dumps(dfa_to_dict(determinize(nfa))) == json.dumps(dfa_to_dict(walked))
+
+
+def _column(nfa, a):
+    return {q: nfa.transitions.get((q, a), frozenset()) for q in range(nfa.n_states)}
+
+
+@given(templated_nfas(), templated_nfas())
+def test_symbol_classes_group_equal_columns(n1, n2):
+    classes = symbol_classes(FIVE_SYMBOLS, n1, n2)
+    assert sorted(a for members in classes for a in members) == list(FIVE_SYMBOLS)
+    assert [members[0] for members in classes] == sorted(m[0] for m in classes)
+    columns = [[(_column(n1, a), _column(n2, a)) for a in members] for members in classes]
+    for members, cols in zip(classes, columns):
+        assert members == sorted(members)
+        assert all(col == cols[0] for col in cols)
+    firsts = [cols[0] for cols in columns]
+    assert all(firsts.count(col) == 1 for col in firsts)
 
 
 @given(nfas())

@@ -162,6 +162,21 @@ def test_universality_alphabet_checked():
         from_nfa_universality(bad)
 
 
+@pytest.mark.parametrize(
+    "nfa, state",
+    [
+        # state 1's moves were lost when initial states were merged
+        (Nfa(1, ("0", "1"), {(0, "0"): {1}, (1, "1"): {0}}, {0, 1}, {0}), "1"),
+        (Nfa(1, ("0", "1"), {(0, "0"): {0}}, {0}, {0, 2}), "2"),
+        (Nfa(2, ("0", "1"), {(0, "0"): {-1}}, {0}, {0}), "-1"),
+        (Nfa(1, ("0", "1"), {}, {"0"}, {0}), "'0'"),
+    ],
+)
+def test_universality_rejects_states_out_of_range(nfa, state):
+    with pytest.raises(ValueError, match="NFA state %s is not in range" % state):
+        from_nfa_universality(nfa)
+
+
 def test_universality_second_strategy_wins_outside_01():
     game, _, a2 = from_nfa_universality(figure_nfa())
     got = winning_set_upto(game, a2, 2)
