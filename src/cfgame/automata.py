@@ -809,7 +809,11 @@ def _gvquote(label):
 
 
 def to_dot(automaton, name="automaton"):
-    """Graphviz source for a Dfa or Nfa."""
+    """Graphviz source for a Dfa or Nfa; a name that is not a plain DOT
+    ID (letters, digits and underscores, no keyword) is quoted."""
+    keyword = name.lower() in ("node", "edge", "graph", "digraph", "subgraph", "strict")
+    if keyword or not (name.isascii() and name.isidentifier()):
+        name = _gvquote(name)
     lines = ["digraph %s {" % name, "  rankdir=LR;", '  __start [shape=point, label=""];']
     for q in range(automaton.n_states):
         shape = "doublecircle" if q in automaton.accepting else "circle"

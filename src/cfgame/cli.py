@@ -86,10 +86,11 @@ def _emit_error(args, message, code):
 
 
 def _write_text(path, text):
-    with open(path, "w") as handle:
-        handle.write(text)
-        if not text.endswith("\n"):
-            handle.write("\n")
+    try:
+        with open(path, "w") as handle:
+            handle.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +411,10 @@ def cmd_losing_nfa(args):
 
 def _write_generated(args, files, details, verdict):
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise CliError("cannot write %s: %s" % (args.out, exc.strerror or exc))
         written = []
         for name, text in files:
             path = os.path.join(args.out, name)

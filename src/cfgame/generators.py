@@ -14,7 +14,7 @@ instances with requested class flags.
 import random
 from collections import namedtuple
 
-from .automata import Dfa, Nfa
+from .automata import Dfa
 from .fixtures import fixture
 from .games import Game, classify
 from .play import StronglyRegularStrategy, strongly_regular_automaton
@@ -346,6 +346,8 @@ def random_game(params, seed):
     if unknown:
         raise ValueError("unknown constraints %s" % sorted(unknown))
     retries = params.pop("retries", 500)
+    if type(retries) is not int or retries < 1:
+        raise ValueError("retries must be an int of at least 1, got %r" % (retries,))
     sizes = {"alphabet": 3, "target_states": 3, "rule_length": 3}
     for key in list(params):
         if key not in sizes:

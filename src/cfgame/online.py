@@ -15,7 +15,7 @@ finds none proves them equal for the rest of the round.  Each choice
 keeps its greatest successors; rounds repeat until none changes.
 
 On the subset automaton of effect sets that synthesis prunes, S_i <= S_j
-gives L(j) <= L(i) (synthesis.NeAutomaton), so round 1 steps only the
+gives L(j) <= L(i) (synthesis.build_ne), so round 1 steps only the
 members of a subset with inclusion-minimal effect sets.  Later rounds
 step whole subsets: removed transitions can break that simulation.
 """
@@ -160,7 +160,7 @@ def prune_weakly_dominant(inst, masks=None):
     instance, total by totality of the instance.  masks, when given,
     holds the effect-set bitmask of each state of an unpruned NE
     automaton, where inclusion of masks is a simulation because every
-    pointwise union is a move (synthesis.NeAutomaton).  Round 1 then
+    pointwise union is a move (synthesis.build_ne).  Round 1 then
     steps only inclusion-minimal members; pruning can break the
     simulation, so later rounds step whole subsets.
     """

@@ -18,9 +18,12 @@ reply's membership in the replacement language is a fact about what the
 opponent wrote, not about what it was rewritten into.  Only the leaves
 depend on the candidate target set, so each round builds one scan graph
 per (p, a) and solves it for all target sets at once, as bitsets indexed
-by target-set bitmask.  Effect sets are int bitmasks (bit q for state
-q) from admission to the strategy automaton; only EffectSet.triples(),
-NeAutomaton.subsets and the state labels name them as frozensets.
+by target-set bitmask.  The solved scan is the plan of every triple it
+admits: the strategy realizing (p, a, S) walks it, taking at each node
+the least option that still wins for S.  Effect sets are int bitmasks
+(bit q for state q) from admission to the strategy automaton; only
+EffectSet.triples(), NeAutomaton.subsets and the state labels name them
+as frozensets.
 """
 
 from collections import namedtuple
@@ -56,25 +59,23 @@ class EffectSet:
 
     def __init__(self, game):
         self.game = game
-        self.masks = {}     # (p, a) -> [(bitmask, stratum), ...] in admission order
-        self.admitted = {}  # (p, a, bitmask) -> (stratum, choice map on bitmasks)
+        # (p, a) -> {bitmask: (stratum, solved scan)} in admission order
+        self.admitted = {}
 
     def triples(self):
         return [
             EffectTriple(p, a, frozenset(_states(mask)))
-            for (p, a), opts in sorted(self.masks.items())
-            for mask, _ in opts
+            for (p, a), stored in sorted(self.admitted.items())
+            for mask in stored
         ]
 
     def option_masks(self, p, c, below=None):
         """Bitmasks of the effect sets usable on symbol c at target state
         p: the read move plus stored triples, optionally only those
         admitted in strata below the given one."""
-        opts = [1 << self.game.target.transitions[(p, c)]]
-        for mask, level in self.masks.get((p, c), ()):
-            if below is None or level < below:
-                opts.append(mask)
-        return opts
+        stored = self.admitted.get((p, c), ())
+        usable = stored if below is None else [m for m in stored if stored[m][0] < below]
+        return [1 << self.game.target.transitions[(p, c)], *usable]
 
     def fitting(self, p, c, inside, below=None):
         """Least usable effect-set bitmask inside the bitmask inside, or
@@ -155,19 +156,6 @@ def _solve_scan(game, effects, p, a, live, below, upward):
     return nodes, edges, wins
 
 
-def _scan_choice(nodes, edges, wins, mask):
-    """Choice map of the scan for the target set of the given bitmask:
-    (possible target states, reply state, symbol) goes to the
-    least-bitmask option that keeps the scan winning, which a winning
-    node has on every symbol."""
-    choice = {}
-    for (members, y), out, w in zip(nodes, edges, wins):
-        if w >> mask & 1:
-            for c, opts in out:
-                choice[(members, y, c)] = min(u for u, j in opts if wins[j] >> mask & 1)
-    return choice
-
-
 def effect_fixpoint(game, cap=10):
     """Least fixpoint of the effect-triple admission operator.
 
@@ -182,8 +170,7 @@ def effect_fixpoint(game, cap=10):
     """
     if cap < 0:
         raise ValueError("the synthesis cap must not be negative, got %d" % cap)
-    report = classify(game)
-    if not report.prefix_free:
+    if not classify(game).prefix_free:
         raise SynthesisError(
             "game is not prefix-free; run the prefix-free transform first"
         )
@@ -221,14 +208,16 @@ def effect_fixpoint(game, cap=10):
                 free &= scan[2][0]
                 while free:
                     mask = (free & -free).bit_length() - 1
-                    effects.masks.setdefault((p, a), []).append((mask, stratum))
-                    effects.admitted[(p, a, mask)] = (stratum, _scan_choice(*scan, mask))
+                    effects.admitted.setdefault((p, a), {})[mask] = (stratum, scan)
                     free &= ~upward(mask)
                     admitted = True
     return effects
 
 
-class NeAutomaton:
+NeAutomaton = namedtuple("NeAutomaton", ["masks", "subsets", "nfa"])
+
+
+def build_ne(game, effects):
     """Subset automaton of the achievable effect sets.
 
     A transition (S, c, S') exists when every member of S has a read or
@@ -245,26 +234,21 @@ class NeAutomaton:
     States are found as bitmasks: masks[i] is the effect set of state i
     as a bitmask and subsets[i] as a frozenset.
     """
-
-    def __init__(self, game, effects):
-        self.game = game
-        self.effects = effects
-        target = game.target
-        masks = [1 << target.initial]
-        index = {masks[0]: 0}
-        transitions = {}
-        for i, members in enumerate(masks):
-            for c in game.alphabet:
-                for u in sorted(_pointwise_successors(effects, members, c)):
-                    if u not in index:
-                        index[u] = len(masks)
-                        masks.append(u)
-                    transitions.setdefault((i, c), set()).add(index[u])
-        rejecting = ~_bitmask(target.accepting)
-        accepting = {i for i, members in enumerate(masks) if not members & rejecting}
-        self.masks = masks
-        self.subsets = [frozenset(_states(members)) for members in masks]
-        self.nfa = Nfa(len(masks), game.alphabet, transitions, {0}, accepting)
+    target = game.target
+    masks = [1 << target.initial]
+    index = {masks[0]: 0}
+    transitions = {}
+    for i, members in enumerate(masks):
+        for c in game.alphabet:
+            for u in sorted(_pointwise_successors(effects, members, c)):
+                if u not in index:
+                    index[u] = len(masks)
+                    masks.append(u)
+                transitions.setdefault((i, c), set()).add(index[u])
+    rejecting = ~_bitmask(target.accepting)
+    accepting = {i for i, members in enumerate(masks) if not members & rejecting}
+    nfa = Nfa(len(masks), game.alphabet, transitions, {0}, accepting)
+    return NeAutomaton(masks, [frozenset(_states(m)) for m in masks], nfa)
 
 
 def _pointwise_successors(effects, members, c, below=None):
@@ -277,10 +261,6 @@ def _pointwise_successors(effects, members, c, below=None):
     for opts in sorted(options, key=len):
         unions = {u | o for u in unions for o in opts}
     return unions
-
-
-def build_ne(game, effects):
-    return NeAutomaton(game, effects)
 
 
 class _AutomatonBuilder:
@@ -306,6 +286,10 @@ class _AutomatonBuilder:
             self.labels.append(label)
         return self.names[label]
 
+    def marked(self, label):
+        """The state of label as a one-element set, if it was created."""
+        return frozenset([self.names[label]] if label in self.names else [])
+
     def realize(self, sid, q, c, inside, below, label):
         """Wire symbol c at state sid, with the target at q: read it when
         the target's move lands in the chosen set (the bitmask inside),
@@ -325,47 +309,40 @@ class _AutomatonBuilder:
         return landed
 
     def embed(self, key, cont):
-        """Instantiate the scan of the triple (p, a, mask) = key along its
-        choice map; nodes pair the actual target state with the scanner's
-        (possible target states as a bitmask, reply state), and completed
-        replies go to the continuation labels.  Returns the entry label."""
+        """Instantiate the solved scan of the triple (p, a, mask) = key:
+        walk pairs of the actual target state and a scan node, taking at
+        each node the least option that still wins for mask, and send
+        completed replies to the continuation labels.  Returns the entry
+        label."""
         cont_key = tuple(sorted(cont.items()))
         memo = (key, cont_key)
         if memo in self.embedded:
             return self.embedded[memo]
         p, a, mask = key
-        rdfa = self.game.replacement_dfa(a)
-        level, choice = self.effects.admitted[key]
-        symbols = sorted(self.game.alphabet)
+        accepting = self.game.replacement_dfa(a).accepting
+        level, (nodes, edges, wins) = self.effects.admitted[(p, a)][mask]
         named = (p, a, frozenset(_states(mask)))
 
-        def label_of(node):
-            q, members, y = node
-            if y in rdfa.accepting:
+        def label_of(q, j):
+            members, y = nodes[j]
+            if y in accepting:
                 return cont[q]
             return ("ind", named, q, frozenset(_states(members)), y, cont_key)
 
-        start = (p, 1 << p, rdfa.initial)
-        entry = label_of(start)
+        entry = label_of(p, 0)
         self.embedded[memo] = entry
-        pending = [start]
+        pending = [(p, 0)]
         walked = set()
         while pending:
-            node = pending.pop()
-            q, members, y = node
-            if node in walked or y in rdfa.accepting:
+            q, i = pending.pop()
+            if (q, i) in walked or not edges[i]:
                 continue
-            walked.add(node)
-            sid = self.state(label_of(node))
-            for c in symbols:
-                inside = choice.get((members, y, c))
-                if inside is None:
-                    continue  # no reply continues with c here
-                y2 = rdfa.transitions[(y, c)]
-                landed = self.realize(
-                    sid, q, c, inside, level, lambda r: label_of((r, inside, y2))
-                )
-                pending.extend((r, inside, y2) for r in landed)
+            walked.add((q, i))
+            sid = self.state(label_of(q, i))
+            for c, opts in sorted(edges[i]):
+                u, j = min((u, j) for u, j in opts if wins[j] >> mask & 1)
+                landed = self.realize(sid, q, c, u, level, lambda r: label_of(r, j))
+                pending.extend((r, j) for r in landed)
         return entry
 
     def finish(self, start_label):
@@ -374,15 +351,12 @@ class _AutomatonBuilder:
         for q in range(n):
             for c in self.game.hist_alphabet:
                 self.transitions.setdefault((q, c), dead)
-        accepting = frozenset(
-            [self.names[("call",)]] if ("call",) in self.names else []
-        )
         return Dfa(
             n,
             self.game.hist_alphabet,
             self.transitions,
             self.names[start_label],
-            accepting,
+            self.marked(("call",)),
         )
 
 
@@ -393,25 +367,20 @@ InducingAutomaton = namedtuple("InducingAutomaton", ["strategy", "partitions", "
 
 def build_inducing_automaton(game, triple, effects):
     p, a, s = triple.p, triple.a, frozenset(triple.states)
-    key = (p, a, _bitmask(s))
-    if key not in effects.admitted:
+    mask = _bitmask(s)
+    if mask not in effects.admitted.get((p, a), {}):
         raise SynthesisError(
             "triple (%r, %r, %r) was never admitted" % (p, a, sorted(s))
         )
     builder = _AutomatonBuilder(game, effects)
     cont = {q: ("landed", q) for q in sorted(s)}
-    entry = builder.embed(key, cont)
+    entry = builder.embed((p, a, mask), cont)
     probe = ("probe",)
     sid = builder.state(probe)
     builder.transitions[(sid, a)] = builder.state(("call",))
     builder.transitions[(sid, hat(a))] = builder.state(entry)
     dfa = builder.finish(probe)
-    partitions = {}
-    for q in sorted(s):
-        if ("landed", q) in builder.names:
-            partitions[q] = frozenset([builder.names[("landed", q)]])
-        else:
-            partitions[q] = frozenset()
+    partitions = {q: builder.marked(("landed", q)) for q in sorted(s)}
     return InducingAutomaton(
         GeneralStrategy(dfa), partitions, EffectTriple(p, a, s), builder.labels
     )

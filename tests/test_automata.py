@@ -1,5 +1,6 @@
 from collections import deque
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -523,6 +524,36 @@ def test_to_dot_smoke():
     assert dot.rstrip().endswith("}")
     nfa = Nfa(2, ALPHABET, {(0, "a"): {0, 1}}, {0}, {1})
     assert "0 -> 1" in to_dot(nfa)
+
+
+# a DOT ID: a plain name, a numeral or a double-quoted string in which
+# only the quote needs escaping; the keywords are not plain names
+DOT_ID = re.compile(
+    r'[A-Za-z_\x80-\xff][A-Za-z_0-9\x80-\xff]*'
+    r'|-?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)'
+    r'|"(?:[^"\\]|\\.)*"',
+    re.DOTALL,
+)
+
+
+@pytest.mark.parametrize(
+    "name, header",
+    [
+        ("sample", "digraph sample {"),
+        ("rule_(0,1)", 'digraph "rule_(0,1)" {'),
+        ("graph", 'digraph "graph" {'),
+        ('say "hi" \\', r'digraph "say \"hi\" \\" {'),
+        ("sigma.json", 'digraph "sigma.json" {'),
+        ("9lives", 'digraph "9lives" {'),
+    ],
+)
+def test_to_dot_writes_the_name_as_a_dot_id(name, header):
+    dfa = Dfa(1, ALPHABET, {(0, "a"): 0, (0, "b"): 0}, 0, {0})
+    first = to_dot(dfa, name=name).split("\n")[0]
+    assert first == header
+    graph_id = first[len("digraph "):-len(" {")]
+    assert DOT_ID.fullmatch(graph_id)
+    assert graph_id.lower() not in ("node", "edge", "graph", "digraph", "subgraph", "strict")
 
 
 @pytest.mark.parametrize("reader", [dfa_from_dict, nfa_from_dict])

@@ -403,6 +403,24 @@ def test_generate_random_is_seed_deterministic(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("retries", ["0", "-2"])
+def test_generate_random_rejects_a_bad_retries(retries, capsys):
+    code, data = run_json(
+        capsys,
+        "generate",
+        "random",
+        "--seed",
+        "1",
+        "--params",
+        "retries=%s,constraints=prefix_free" % retries,
+    )
+    assert code == 2
+    assert data == {
+        "error": "retries must be an int of at least 1, got %s" % retries,
+        "exit": 2,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Transform and synthesis pipeline.
 
@@ -547,6 +565,52 @@ def test_online_prune_rejects_a_bad_alphabet(alphabet, error, tmp_path):
 
 # ---------------------------------------------------------------------------
 # Error handling and output modes.
+
+
+# every output flag, aimed at a path that cannot be written: {dir} is a
+# directory and {file} an existing file (for the flags that make a
+# directory), so the case holds when the suite runs as root too
+UNWRITABLE_OUTPUTS = {
+    "transform-out": ["transform", "fixture:sandbox", "--prefix-free", "--out", "{dir}"],
+    "exists-winning-out": [
+        "exists-winning", "fixture:g2-regular-not-sreg", "--word", "a", "--out", "{dir}"
+    ],
+    "synthesize-out": ["synthesize", "fixture:sandbox", "--out", "{dir}"],
+    "synthesize-dot": ["synthesize", "fixture:sandbox", "--dot", "{dir}"],
+    "online-prune-dot": ["online-prune", "{instance}", "--dot", "{dir}"],
+    "losing-nfa-dot": [
+        "losing-nfa", "fixture:sandbox", "--strategy", "read-all", "--dot", "{dir}"
+    ],
+    "export-out": ["export", "fixture:sandbox", "--what", "target", "--out", "{dir}"],
+    "generate-3sat-out": ["generate", "3sat", "--clauses", "1,1,1", "--out", "{file}"],
+    "generate-universality-out": [
+        "generate", "universality", "--nfa", "{nfa}", "--out", "{file}"
+    ],
+    "generate-random-out": ["generate", "random", "--seed", "1", "--out", "{file}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_path_exits_2(case, tmp_path, capsys):
+    paths = {
+        "dir": tmp_path / "taken",
+        "file": tmp_path / "taken.txt",
+        "instance": tmp_path / "online.json",
+        "nfa": tmp_path / "nfa.json",
+    }
+    paths["dir"].mkdir()
+    paths["file"].write_text("kept\n")
+    paths["instance"].write_text(dump_online_instance(total_online_instance()))
+    nfa = Nfa(1, ("0", "1"), {(0, "0"): {0}, (0, "1"): {0}}, {0}, {0})
+    paths["nfa"].write_text(json.dumps(nfa_to_dict(nfa)))
+    argv = [arg.format(**paths) for arg in UNWRITABLE_OUTPUTS[case]]
+    code, data = run_json(capsys, *argv)
+    assert code == 2
+    assert data["exit"] == 2
+    bad = argv[-1]
+    assert data["error"].startswith("cannot write %s: " % bad), data["error"]
+    assert paths["dir"].is_dir() and not any(paths["dir"].iterdir())
+    assert paths["file"].read_text() == "kept\n"
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -251,6 +251,13 @@ def test_random_game_rejects_bad_params():
         random_game({"constraints": ["shiny"]}, 0)
 
 
+@pytest.mark.parametrize("retries", [0, -2, 2.5, "3", True])
+def test_random_game_rejects_a_bad_retries(retries):
+    params = {"constraints": ["prefix_free"], "retries": retries}
+    with pytest.raises(ValueError, match="retries must be an int of at least 1"):
+        random_game(params, 0)
+
+
 def test_random_game_reports_unsatisfiable_constraints():
     # a one-state target that accepts anything at all accepts an
     # infinite language, so finite_target can never hold

@@ -291,8 +291,7 @@ def test_synthesis_on_random_prefix_free_games(game):
     finite=st.booleans(),
 )
 def test_effect_fixpoint_matches_the_per_set_referee(seed, states, finite):
-    constraints = ["prefix_free"] + (["finite_replacement"] if finite else [])
-    game = random_game({"constraints": constraints, "target_states": states}, seed)
+    game = _random_game(seed, states, finite)
     replies = {}
     for a in game.function_symbols:
         rdfa = game.replacement_dfa(a)
@@ -306,19 +305,34 @@ def test_effect_fixpoint_matches_the_per_set_referee(seed, states, finite):
         return frozenset(_states(mask))
 
     assert stored == {
-        key: [as_set(mask) for mask, _ in opts] for key, opts in effects.masks.items()
+        key: [as_set(mask) for mask in table] for key, table in effects.admitted.items()
     }
-    admitted = {(p, a, as_set(mask)): v for (p, a, mask), v in effects.admitted.items()}
-    assert stratum == {key: level for key, (level, _) in admitted.items()}
-    assert choice == {
-        key: {(as_set(m), y, c): as_set(u) for (m, y, c), u in ch.items()}
-        for key, (_, ch) in admitted.items()
-    }
+    # each stored set's plan is its solved scan: at every node that wins
+    # for the set, each symbol takes the least option that still wins
+    levels, plans = {}, {}
+    for (p, a), table in effects.admitted.items():
+        for mask, (level, (nodes, edges, wins)) in table.items():
+            key = (p, a, as_set(mask))
+            levels[key] = level
+            plans[key] = {
+                (as_set(members), y, c): as_set(
+                    min(u for u, j in opts if wins[j] >> mask & 1)
+                )
+                for (members, y), out, w in zip(nodes, edges, wins)
+                if w >> mask & 1
+                for c, opts in out
+            }
+    assert stratum == levels
+    assert choice == plans
+
+
+def _random_game(seed, states, finite):
+    constraints = ["prefix_free"] + (["finite_replacement"] if finite else [])
+    return random_game({"constraints": constraints, "target_states": states}, seed)
 
 
 def _random_ne(seed, states, finite):
-    constraints = ["prefix_free"] + (["finite_replacement"] if finite else [])
-    game = random_game({"constraints": constraints, "target_states": states}, seed)
+    game = _random_game(seed, states, finite)
     return build_ne(game, effect_fixpoint(game))
 
 
@@ -368,28 +382,29 @@ def test_effect_set_inclusion_is_a_simulation_on_the_ne_automaton(
     finite=st.booleans(),
 )
 def test_effect_set_masks_match_their_sets(seed, states, finite):
-    ne = _random_ne(seed, states, finite)
+    game = _random_game(seed, states, finite)
+    effects = effect_fixpoint(game)
+    ne = build_ne(game, effects)
     for i, members in enumerate(ne.subsets):
         assert ne.masks[i] == _bitmask(members)
-    effects = ne.effects
-    target = ne.game.target
+    target = game.target
     n = target.n_states
     insides = [frozenset(q for q in range(n) if m >> q & 1) for m in range(1 << n)]
-    levels = {level for level, _ in effects.admitted.values()}
+    levels = {level for table in effects.admitted.values() for level, _ in table.values()}
     strata = [None] + sorted(levels | {1}) + [max(levels, default=0) + 1]
 
     def referee(p, c, inside, below):
         # the smallest-bitmask read or admitted option inside the set
         options = [frozenset([target.transitions[(p, c)]])] + [
             frozenset(_states(mask))
-            for mask, level in effects.masks.get((p, c), [])
+            for mask, (level, _) in effects.admitted.get((p, c), {}).items()
             if below is None or level < below
         ]
         fits = [s for s in options if s <= inside]
         return min(fits, key=lambda s: sum(1 << q for q in s), default=None)
 
     for p in range(n):
-        for c in ne.game.alphabet:
+        for c in game.alphabet:
             for inside in insides:
                 for below in strata:
                     expected = referee(p, c, inside, below)
